@@ -26,11 +26,12 @@ import scipy.linalg
 from .exceptions import DimensionError, DomainError, RegressionError
 from .sde import (
     Control,
+    FeedbackControl,
     SimConfig,
-    _check_blowup,
-    _control_at,
-    _step_normals,
-    _validate_control,
+    _bu_term,
+    _euler_step,
+    _forward_sweep,
+    _noise,
 )
 from .systems import StochasticSystem, as_vector
 from .systems import yosida as yosida_pair
@@ -179,15 +180,14 @@ def solve_dual_bsde(
     R = len(steps)
     P = cfg.n_paths
     dt = cfg.dt
-    root = np.sqrt(dt)
     A, C = sys.A, sys.C
 
     # Brownian values at the regression times
     w_at = np.zeros((P, R))
     j = 0
     w = np.zeros(P)
-    for k in range(cfg.n_steps):
-        w = w + _step_normals(cfg.seed, k, P) * root
+    for k, dw in _noise(cfg, range(cfg.n_steps)):
+        w = w + dw
         if k + 1 == steps[j + 1]:
             j += 1
             w_at[:, j] = w
@@ -198,14 +198,13 @@ def solve_dual_bsde(
     # product of per-step factors F_k = I + A dt + C dW_k, so its transpose
     # applies to a vector by walking the steps in reverse, v <- F_k^T v.
     # The counter-based noise keys make the reverse-order redraw exact.
+    F = np.eye(n) + dt * A
     V = np.empty((R, P, n))
     V[R - 1] = xi
-    cur = np.array(xi, dtype=float)
+    cur = xi
     for j in range(R - 2, -1, -1):
-        for k in range(steps[j + 1] - 1, steps[j] - 1, -1):
-            dw = _step_normals(cfg.seed, k, P) * root
-            cur = cur + (cur @ A) * dt + (cur @ C) * dw[:, None]
-            _check_blowup(cur, k, dt)
+        for k, dw in _noise(cfg, range(steps[j + 1] - 1, steps[j] - 1, -1)):
+            cur = _euler_step(cur, F, C, dw, None, k, dt)
         V[j] = cur
 
     Y = np.empty((R, P, n))
@@ -231,33 +230,6 @@ def solve_dual_bsde(
             [scipy.linalg.expm((T - t) * A.T) @ terminal.xi for t in times]
         )
     return BsdeSolution(times=times, Y=Y, Z=Z, terminal=terminal, w=w_at, y_exact=y_exact)
-
-
-def _forward_states_at(
-    sys: StochasticSystem,
-    x0: np.ndarray,
-    control: Control,
-    cfg: SimConfig,
-    steps: np.ndarray,
-) -> np.ndarray:
-    """States at the given grid steps, shape (n_paths, len(steps), n)."""
-    K = cfg.n_steps
-    control = _validate_control(control, sys, K)
-    pos = {int(k): i for i, k in enumerate(steps)}
-    X = np.tile(x0, (cfg.n_paths, 1))
-    out = np.empty((cfg.n_paths, len(steps), sys.n))
-    if 0 in pos:
-        out[:, pos[0]] = X
-    A_T, B, C_T = sys.A.T, sys.B, sys.C.T
-    dt = cfg.dt
-    for k in range(K):
-        dw = _step_normals(cfg.seed, k, cfg.n_paths) * np.sqrt(dt)
-        u = _control_at(control, k, X, sys.m)
-        X = X + (X @ A_T + u @ B.T) * dt + (X @ C_T) * dw[:, None]
-        _check_blowup(X, k + 1, dt)
-        if (k + 1) in pos:
-            out[:, pos[k + 1]] = X
-    return out
 
 
 @dataclass
@@ -298,25 +270,24 @@ def duality_check(
     trapezoid rule over the regression grid; its bias is covered by the
     dt-proportional allowance in the pass rule.
     """
-    from .sde import FeedbackControl  # local import to avoid cycle noise
-
-    x0 = as_vector(x0, "x0")
-    if x0.shape[0] != sys.n:
-        raise DimensionError(f"x0 must have length n={sys.n}")
+    sweep = _forward_sweep(sys, x0, control, cfg)  # checks inputs before the solve
     sol = solve_dual_bsde(sys, terminal, cfg, n_regression_times)
     steps = _regression_steps(cfg, n_regression_times)
-    states = _forward_states_at(sys, x0, control, cfg, steps)
 
-    xi = terminal.per_path(sol.w[:, -1])
-    lhs_samples = np.einsum("pi,pi->p", states[:, -1], xi)
-
+    # the integrand <B u, Y> is taken at each regression step as the sweep
+    # passes it, so no forward states are stored
     K = cfg.n_steps
-    ctrl = _validate_control(control, sys, K)
-    integrand = np.empty((len(steps), cfg.n_paths))
-    for j, k in enumerate(steps):
-        u = _control_at(ctrl, min(int(k), K - 1), states[:, j], sys.m)
-        integrand[j] = np.einsum("pi,pi->p", u @ sys.B.T, sol.Y[j])
-    rhs_samples = sol.Y[0] @ x0 + np.trapezoid(integrand, x=sol.times, axis=0)
+    integrand = np.zeros((len(steps), cfg.n_paths))
+    j = 0
+    for k, _, X in sweep:
+        if k == steps[j]:
+            bu = _bu_term(control, sys.B, min(k, K - 1), X)
+            if bu is not None:
+                integrand[j] = np.einsum("pi,pi->p", np.broadcast_to(bu, X.shape), sol.Y[j])
+            j += 1
+    xi = terminal.per_path(sol.w[:, -1])
+    lhs_samples = np.einsum("pi,pi->p", X, xi)
+    rhs_samples = sol.Y[0] @ as_vector(x0, "x0") + np.trapezoid(integrand, x=sol.times, axis=0)
 
     lhs = float(np.mean(lhs_samples))
     rhs = float(np.mean(rhs_samples))

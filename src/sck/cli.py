@@ -342,8 +342,8 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, help="seed override for simulation runs")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker hint, 0 = auto (results never depend on it); "
-             "falls back to SCK_THREADS",
+        help="recorded in the report envelope only; sck computes in one "
+             "process and results never depend on it; falls back to SCK_THREADS",
     )
     return parser
 

@@ -41,7 +41,6 @@ CONDITION_TAGS = ("N1", "N2")
 
 APPROX_CONTROLLABLE = "ApproxControllable"
 NOT_APPROX_CONTROLLABLE = "NotApproxControllable"
-NECESSARY_ONLY = "NecessaryConditionsOnlyPassed"
 
 
 @dataclass(frozen=True)
@@ -339,12 +338,15 @@ def commuting_case_check(
 class ControllabilityVerdict:
     """Combined outcome of the geometric and Hautus-type tests.
 
-    The invariant-subspace criterion is the finite-dimensional ground truth:
-    verdict = ApproxControllable exactly when the subspace is trivial.  A
-    nontrivial subspace with every necessary condition passing is still
-    NotApproxControllable but carries ``consistency_warning`` (the necessary
-    conditions are one-sided, so this combination is legitimate; the warning
-    exists to surface the asymmetry).
+    The invariant-subspace criterion is the finite-dimensional ground truth,
+    and the necessary conditions N1 and N2 must agree with it:
+    verdict = ApproxControllable exactly when the subspace is trivial and
+    both N1 and N2 pass (N2 counts as passed when no lambda is accepted).
+    Every other case is NotApproxControllable, and ``consistency_warning``
+    marks the two mixed ones: a trivial subspace with a violated condition
+    (a numerical contradiction), and a nontrivial subspace with every
+    condition passing (legitimate, since the conditions are one-sided; the
+    warning surfaces the asymmetry).
     """
 
     invariant_subspace_dim: int

@@ -10,7 +10,7 @@ steps can be redrawn on demand without materialising the whole array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -84,6 +84,13 @@ def _step_normals(seed: int, step: int, n_paths: int) -> np.ndarray:
     return np.random.Generator(np.random.Philox(ss)).standard_normal(n_paths)
 
 
+def _noise(cfg: SimConfig, steps: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, dW_k) for each step k in the order given, forward or reverse."""
+    root = np.sqrt(cfg.dt)
+    for k in steps:
+        yield k, _step_normals(cfg.seed, k, cfg.n_paths) * root
+
+
 def brownian_increments(cfg: SimConfig, k0: int = 0, k1: Optional[int] = None) -> np.ndarray:
     """Increment block dW[:, k0:k1] of shape (n_paths, k1 - k0)."""
     if k1 is None:
@@ -91,10 +98,8 @@ def brownian_increments(cfg: SimConfig, k0: int = 0, k1: Optional[int] = None) -
     if not (0 <= k0 <= k1 <= cfg.n_steps):
         raise DomainError(f"invalid step range [{k0}, {k1})")
     out = np.empty((cfg.n_paths, k1 - k0))
-    root = np.sqrt(cfg.dt)
-    for k in range(k0, k1):
-        out[:, k - k0] = _step_normals(cfg.seed, k, cfg.n_paths)
-    out *= root
+    for k, dw in _noise(cfg, range(k0, k1)):
+        out[:, k - k0] = dw
     return out
 
 
@@ -162,27 +167,16 @@ def _validate_control(control: Control, sys: StochasticSystem, n_steps: int) -> 
     raise DomainError(f"unsupported control specification: {control!r}")
 
 
-def _bu_term(control: Control, B: np.ndarray, k: int, states: np.ndarray) -> Union[float, np.ndarray]:
-    """B u_k for all paths; 0.0, a (n,) vector, or an (n_paths, n) array."""
+def _bu_term(control: Control, B: np.ndarray, k: int, states: np.ndarray) -> Optional[np.ndarray]:
+    """B u_k for all paths; None for the zero control, else a (n,) vector or
+    an (n_paths, n) array."""
     if isinstance(control, ZeroControl):
-        return 0.0
+        return None
     if isinstance(control, ConstantControl):
         return B @ control.u
     if isinstance(control, PiecewiseConstantControl):
         return B @ control.values[k]
     return (states @ control.K.T) @ B.T
-
-
-def _control_at(control: Control, k: int, states: np.ndarray, m: int) -> np.ndarray:
-    """u_k per path, shape (n_paths, m)."""
-    n_paths = states.shape[0]
-    if isinstance(control, ZeroControl):
-        return np.zeros((n_paths, m))
-    if isinstance(control, ConstantControl):
-        return np.broadcast_to(control.u, (n_paths, m))
-    if isinstance(control, PiecewiseConstantControl):
-        return np.broadcast_to(control.values[k], (n_paths, m))
-    return states @ control.K.T
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +203,56 @@ class FlowEnsemble:
 
 
 def _check_blowup(X: np.ndarray, step: int, dt: float):
-    if not np.all(np.isfinite(X)) or np.max(np.abs(X)) > BLOWUP_LIMIT:
+    # written so that NaN fails the comparisons; no temporary array is made
+    if not (X.max() <= BLOWUP_LIMIT and X.min() >= -BLOWUP_LIMIT):
         raise StabilityError(
             f"ensemble blew up at step {step} (dt={dt}); use a smaller time step"
         )
+
+
+def _euler_step(X: np.ndarray, F_T: np.ndarray, C_T: np.ndarray, dw: np.ndarray,
+                bu: Optional[np.ndarray], step: int, dt: float) -> np.ndarray:
+    """One Euler-Maruyama step X F_T + (X C_T) dW + bu dt on the last axis of X,
+    with the paths on the first axis, checked for blow-up at ``step``.
+
+    With F_T = I + dt A^T and C_T = C^T this is the forward update
+    X + (A X + B u) dt + C X dW on row vectors; passing (I + dt A, C) applies
+    the transposed factor instead, as the backward walk of the dual equation
+    does.
+    """
+    out = X @ F_T
+    noise = X @ C_T
+    noise *= dw.reshape((-1,) + (1,) * (X.ndim - 1))
+    out += noise
+    if bu is not None:
+        out += bu * dt
+    _check_blowup(out, step, dt)
+    return out
+
+
+def _forward_sweep(
+    sys: StochasticSystem, x0, control: Control, cfg: SimConfig
+) -> Iterator[tuple[int, Optional[np.ndarray], np.ndarray]]:
+    """Check x0 and the control, then return the forward sweep.
+
+    The sweep yields (k, dW_{k-1}, X_k) for k = 0..K, with dW None at k = 0.
+    Nothing is allocated until it is iterated.
+    """
+    x0 = as_vector(x0, "x0")
+    if x0.shape[0] != sys.n:
+        raise DimensionError(f"x0 must have length n={sys.n}")
+    control = _validate_control(control, sys, cfg.n_steps)
+    F_T = np.eye(sys.n) + cfg.dt * sys.A.T
+    C_T = sys.C.T
+
+    def sweep():
+        X = np.tile(x0, (cfg.n_paths, 1))
+        yield 0, None, X
+        for k, dw in _noise(cfg, range(cfg.n_steps)):
+            X = _euler_step(X, F_T, C_T, dw, _bu_term(control, sys.B, k, X), k + 1, cfg.dt)
+            yield k + 1, dw, X
+
+    return sweep()
 
 
 def simulate_forward(
@@ -234,11 +274,8 @@ def simulate_forward(
     ------
     StabilityError  when any |state| exceeds 1e12.
     """
-    x0 = as_vector(x0, "x0")
-    if x0.shape[0] != sys.n:
-        raise DimensionError(f"x0 must have length n={sys.n}")
+    sweep = _forward_sweep(sys, x0, control, cfg)
     K = cfg.n_steps
-    control = _validate_control(control, sys, K)
     if record_steps is None:
         recorded = list(range(K + 1))
     else:
@@ -247,22 +284,14 @@ def simulate_forward(
             raise DomainError("record_steps out of range")
     rec_pos = {k: i for i, k in enumerate(recorded)}
 
-    A_T, B, C_T = sys.A.T, sys.B, sys.C.T
-    X = np.tile(x0, (cfg.n_paths, 1))
     states = np.empty((cfg.n_paths, len(recorded), sys.n))
-    states[:, 0] = X
     increments = np.empty((cfg.n_paths, K))
-    dt = cfg.dt
-    for k in range(K):
-        dw = _step_normals(cfg.seed, k, cfg.n_paths) * np.sqrt(dt)
-        increments[:, k] = dw
-        drift = X @ A_T
-        bu = _bu_term(control, B, k, X)
-        X = X + (drift + bu) * dt + (X @ C_T) * dw[:, None]
-        _check_blowup(X, k + 1, dt)
-        if (k + 1) in rec_pos:
-            states[:, rec_pos[k + 1]] = X
-    return PathEnsemble(times=dt * np.array(recorded, dtype=float), states=states, increments=increments)
+    for k, dw, X in sweep:
+        if k:
+            increments[:, k - 1] = dw
+        if k in rec_pos:
+            states[:, rec_pos[k]] = X
+    return PathEnsemble(times=cfg.dt * np.array(recorded, dtype=float), states=states, increments=increments)
 
 
 def simulate_flow(
@@ -285,22 +314,22 @@ def simulate_flow(
         k1 = K
     if not (0 <= k0 <= k1 <= K):
         raise DomainError(f"invalid step range [{k0}, {k1})")
-    A, C = sys.A, sys.C
     n = sys.n
-    Phi = np.broadcast_to(np.eye(n), (cfg.n_paths, n, n)).copy()
+    F_T = np.eye(n) + cfg.dt * sys.A.T
+    C_T = sys.C.T
+    # the columns of Phi are the rows of Phi^T, which step like forward states
+    Phi_T = np.broadcast_to(np.eye(n), (cfg.n_paths, n, n))
     steps = k1 - k0
     n_rec = steps + 1 if record else (2 if steps else 1)
     flows = np.empty((cfg.n_paths, n_rec, n, n))
-    flows[:, 0] = Phi
+    flows[:, 0] = Phi_T
     dt = cfg.dt
-    for j, k in enumerate(range(k0, k1)):
-        dw = _step_normals(cfg.seed, k, cfg.n_paths) * np.sqrt(dt)
-        Phi = Phi + np.matmul(A, Phi) * dt + np.matmul(C, Phi) * dw[:, None, None]
-        _check_blowup(Phi, k + 1, dt)
+    for j, (k, dw) in enumerate(_noise(cfg, range(k0, k1))):
+        Phi_T = _euler_step(Phi_T, F_T, C_T, dw, None, k + 1, dt)
         if record:
-            flows[:, j + 1] = Phi
+            flows[:, j + 1] = Phi_T.transpose(0, 2, 1)
     if not record and steps:
-        flows[:, 1] = Phi
+        flows[:, 1] = Phi_T.transpose(0, 2, 1)
     times = dt * (np.arange(k0, k1 + 1, dtype=float) if record else np.array([k0, k1][: n_rec], dtype=float))
     return FlowEnsemble(times=times, flows=flows)
 
@@ -320,25 +349,11 @@ def ensemble_moments(
     Streams over the grid without storing trajectories; returns
     (times, mean, second_moment) with the moment arrays shaped (K+1, n).
     """
-    x0 = as_vector(x0, "x0")
-    if x0.shape[0] != sys.n:
-        raise DimensionError(f"x0 must have length n={sys.n}")
-    K = cfg.n_steps
-    control = _validate_control(control, sys, K)
-    A_T, B, C_T = sys.A.T, sys.B, sys.C.T
-    X = np.tile(x0, (cfg.n_paths, 1))
-    mean = np.empty((K + 1, sys.n))
-    second = np.empty((K + 1, sys.n))
-    mean[0] = X.mean(axis=0)
-    second[0] = np.mean(X * X, axis=0)
-    dt = cfg.dt
-    for k in range(K):
-        dw = _step_normals(cfg.seed, k, cfg.n_paths) * np.sqrt(dt)
-        bu = _bu_term(control, B, k, X)
-        X = X + (X @ A_T + bu) * dt + (X @ C_T) * dw[:, None]
-        _check_blowup(X, k + 1, dt)
-        mean[k + 1] = X.mean(axis=0)
-        second[k + 1] = np.mean(X * X, axis=0)
+    mean = np.empty((cfg.n_steps + 1, sys.n))
+    second = np.empty((cfg.n_steps + 1, sys.n))
+    for k, _, X in _forward_sweep(sys, x0, control, cfg):
+        mean[k] = X.mean(axis=0)
+        second[k] = np.mean(X * X, axis=0)
     return cfg.times, mean, second
 
 
@@ -372,30 +387,26 @@ def girsanov_check(
         raise DomainError("dt_list must be strictly decreasing")
 
     A, B, C = sys.A, sys.B, sys.C
+    eye = np.eye(sys.n)
     A2 = A + lam * C
-    C2 = C + lam * np.eye(sys.n)
+    C2_T = (C + lam * eye).T
     out = []
     for dt in dts:
         run = SimConfig(T=cfg.T, dt=dt, n_paths=cfg.n_paths, seed=cfg.seed,
                         regression_degree=cfg.regression_degree)
-        K = run.n_steps
-        ctrl = _validate_control(control, sys, K)
+        ctrl = _validate_control(control, sys, run.n_steps)
+        F_T, F2_T = eye + dt * A.T, eye + dt * A2.T
         X = np.tile(x0, (run.n_paths, 1))
         Xt = X.copy()
         W = np.zeros(run.n_paths)
         sup_err = np.zeros(run.n_paths)
-        root = np.sqrt(dt)
-        for k in range(K):
-            dw = _step_normals(run.seed, k, run.n_paths) * root
+        for k, dw in _noise(run, range(run.n_steps)):
             expmart = np.exp(lam * W - 0.5 * lam * lam * (k * dt))
-            u = _control_at(ctrl, k, X, sys.m)
-            bu = u @ B.T
-            X_new = X + (X @ A.T + bu) * dt + (X @ C.T) * dw[:, None]
-            bv = (expmart[:, None] * u) @ B.T
-            Xt_new = Xt + (Xt @ A2.T + bv) * dt + (Xt @ C2.T) * dw[:, None]
-            _check_blowup(X_new, k + 1, dt)
-            _check_blowup(Xt_new, k + 1, dt)
-            X, Xt = X_new, Xt_new
+            bu = _bu_term(ctrl, B, k, X)
+            # v = E_t u, so B v = E_t (B u) by linearity
+            bv = None if bu is None else expmart[:, None] * bu
+            X = _euler_step(X, F_T, C.T, dw, bu, k + 1, dt)
+            Xt = _euler_step(Xt, F2_T, C2_T, dw, bv, k + 1, dt)
             W = W + dw
             expmart_next = np.exp(lam * W - 0.5 * lam * lam * ((k + 1) * dt))
             err = np.linalg.norm(expmart_next[:, None] * X - Xt, axis=1)

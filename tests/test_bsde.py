@@ -15,6 +15,7 @@ from sck import (
     approximation_convergence,
     assemble_example2,
     duality_check,
+    simulate_flow,
     simulate_forward,
     solve_dual_bsde,
 )
@@ -105,6 +106,20 @@ class TestSolveDualBsde:
         sol1 = solve_dual_bsde(s, term, cfg1)
         sol3 = solve_dual_bsde(s, term, cfg3)
         assert np.sqrt(np.mean((sol1.Y - sol3.Y) ** 2)) <= 0.01
+
+    def test_y0_is_mean_flow_adjoint(self):
+        # the backward walk applies the transposed step factors of the forward
+        # flow, so Y_0 = E[Phi(0, T)^T xi] up to round-off on the same noise
+        rng = np.random.default_rng(53)
+        A = rng.standard_normal((3, 3)) - 2 * np.eye(3)
+        C = 0.5 * rng.standard_normal((3, 3))
+        s = StochasticSystem(A, np.zeros((3, 1)), C=C)
+        cfg = SimConfig(T=0.5, dt=0.01, n_paths=200, seed=59)
+        xi = np.array([0.4, -1.0, 0.7])
+        sol = solve_dual_bsde(s, DeterministicTerminal(xi), cfg)
+        flows = simulate_flow(s, cfg, record=False).flows[:, -1]
+        target = np.einsum("pij,i->pj", flows, xi).mean(axis=0)
+        assert np.max(np.abs(sol.Y[0] - target)) <= 1e-12 * np.linalg.norm(xi)
 
     def test_regression_rank_deficiency_raises(self):
         s = StochasticSystem(np.array([[-1.0]]), np.zeros((1, 1)))

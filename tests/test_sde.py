@@ -17,6 +17,7 @@ from sck import (
     simulate_forward,
 )
 from sck.exceptions import DimensionError, DomainError, StabilityError
+from sck.sde import BLOWUP_LIMIT, _check_blowup
 
 
 def scalar_system(a=-1.0, c=0.5):
@@ -124,6 +125,16 @@ class TestSimulateForward:
         with pytest.raises(StabilityError):
             simulate_forward(s, [1.0], ZeroControl(), cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -2 * BLOWUP_LIMIT])
+    def test_blowup_check_rejects(self, bad):
+        X = np.ones((3, 2))
+        X[1, 0] = bad
+        with pytest.raises(StabilityError):
+            _check_blowup(X, 1, 0.1)
+
+    def test_blowup_check_accepts_limit(self):
+        _check_blowup(np.array([[BLOWUP_LIMIT, -BLOWUP_LIMIT]]), 1, 0.1)
+
     def test_record_steps_subset(self):
         s = scalar_system()
         cfg = SimConfig(T=1.0, dt=0.1, n_paths=5, seed=2)
@@ -149,6 +160,34 @@ class TestSimulateForward:
         e1 = simulate_forward(s, [1.0, 1.0], PiecewiseConstantControl(vals), cfg)
         e2 = simulate_forward(s, [1.0, 1.0], FeedbackControl(-0.5 * np.eye(2)), cfg)
         assert np.all(np.isfinite(e1.states)) and np.all(np.isfinite(e2.states))
+
+    @pytest.mark.parametrize(
+        "control, u_of",
+        [
+            (ZeroControl(), lambda k, X: np.zeros((X.shape[0], 2))),
+            (ConstantControl(np.array([0.5, -1.0])), lambda k, X: np.array([0.5, -1.0])),
+            (PiecewiseConstantControl(np.arange(8.0).reshape(4, 2)),
+             lambda k, X: np.arange(8.0).reshape(4, 2)[k]),
+            (FeedbackControl(np.array([[-0.5, 0.2], [0.0, -1.0]])),
+             lambda k, X: X @ np.array([[-0.5, 0.2], [0.0, -1.0]]).T),
+        ],
+        ids=["zero", "constant", "piecewise", "feedback"],
+    )
+    def test_matches_reference_loop(self, control, u_of):
+        A = np.array([[-1.0, 0.3], [0.2, -2.0]])
+        B = np.array([[1.0, 0.5], [0.0, 1.0]])
+        C = np.array([[0.1, 0.2], [-0.3, 0.1]])
+        s = StochasticSystem(A, B, C=C)
+        cfg = SimConfig(T=1.0, dt=0.25, n_paths=4, seed=6)
+        ens = simulate_forward(s, [1.0, -1.0], control, cfg)
+        dW = brownian_increments(cfg)
+        assert np.array_equal(ens.increments, dW)
+        X = np.tile([1.0, -1.0], (cfg.n_paths, 1))
+        ref = [X]
+        for k in range(cfg.n_steps):
+            X = X + (X @ A.T + u_of(k, X) @ B.T) * cfg.dt + (X @ C.T) * dW[:, k, None]
+            ref.append(X)
+        assert np.allclose(ens.states, np.stack(ref, axis=1), rtol=1e-12, atol=1e-12)
 
 
 class TestSimulateFlow:
