@@ -84,13 +84,25 @@ class HautusReport:
         return min((p.sigma_min for p in self.points), default=float("inf"))
 
 
-def _stacked_sigma_min(M_T: np.ndarray, B_T: np.ndarray, alpha: complex):
-    """Smallest singular value and right-singular vector of [M^T - alpha I; B^T]."""
-    n = M_T.shape[0]
-    shifted = M_T - alpha * np.eye(n)
-    S = np.vstack([shifted, B_T])
-    _, svals, vh = np.linalg.svd(S)
-    return float(svals[-1]), vh[-1].conj()
+def _shifted(S0: np.ndarray, alpha: complex) -> np.ndarray:
+    """The pencil [M^T - alpha I; B^T], built from S0 = [M^T; B^T]; complex
+    when alpha is."""
+    S = S0.astype(np.result_type(S0, alpha))
+    d = np.arange(S.shape[1])
+    S[d, d] -= alpha
+    return S
+
+
+def _sigma_min(S0: np.ndarray, alpha: complex) -> float:
+    """Smallest singular value of the pencil at alpha, without singular vectors."""
+    return float(np.linalg.svd(_shifted(S0, alpha), compute_uv=False)[-1])
+
+
+def _witness(S0: np.ndarray, alpha: float) -> np.ndarray:
+    """Unit real part of the pencil's smallest right-singular vector at alpha."""
+    _, _, vh = np.linalg.svd(_shifted(S0, alpha))
+    w = np.real(vh[-1].conj())
+    return w / np.linalg.norm(w)
 
 
 def kalman_hautus_rank(
@@ -121,10 +133,8 @@ def kalman_hautus_rank(
     samples = [complex(s) for s in s_samples]
     samples.extend(np.linalg.eigvals(A.T))
     threshold = cfg.rank_tol * (1.0 + np.linalg.norm(A, 2))
-    min_sigma = float("inf")
-    for s in samples:
-        sigma, _ = _stacked_sigma_min(A.T.astype(complex), B.T.astype(complex), s)
-        min_sigma = min(min_sigma, sigma)
+    S0 = np.vstack([A.T, B.T])
+    min_sigma = min((_sigma_min(S0, s) for s in samples), default=float("inf"))
     return min_sigma > threshold, min_sigma
 
 
@@ -200,19 +210,24 @@ def check_condition(
 
     points: list[HautusPoint] = []
     complex_points: list[HautusPoint] = []
-    best = None  # (sigma, witness) at the most violated real point
+    best = None  # (sigma, S0, alpha, point) at the most violated real point
+
+    def scan(lam, S0, alpha):
+        nonlocal best
+        sigma = _sigma_min(S0, alpha)
+        violated = sigma <= cfg.rank_tol
+        points.append(HautusPoint(lam, alpha, sigma, violated))
+        if violated and (best is None or sigma < best[0]):
+            best = (sigma, S0, alpha, points[-1])
 
     for lam, M in operators:
         M_T = M.T
+        S0 = np.vstack([M_T, B_T])
         real_alphas, complex_alphas = _real_shift_candidates(M_T, cfg.zero_tol)
         for alpha in real_alphas:
-            sigma, w = _stacked_sigma_min(M_T, B_T, alpha)
-            violated = sigma <= cfg.rank_tol
-            points.append(HautusPoint(lam, float(alpha), sigma, violated))
-            if violated and (best is None or sigma < best[0]):
-                best = (sigma, np.real(w) / np.linalg.norm(np.real(w)), points[-1])
+            scan(lam, S0, float(alpha))
         for ev in complex_alphas:
-            sigma, _ = _stacked_sigma_min(M_T.astype(complex), B_T.astype(complex), ev)
+            sigma = _sigma_min(S0, ev)
             complex_points.append(
                 HautusPoint(lam, float(ev.real), sigma, sigma <= cfg.rank_tol, float(ev.imag))
             )
@@ -227,18 +242,13 @@ def check_condition(
                 M = op_by_lam.get(lam)
                 if M is None:
                     M = sys.A + lam * sys.C
-            sigma, w = _stacked_sigma_min(M.T, B_T, alpha)
-            violated = sigma <= cfg.rank_tol
-            points.append(HautusPoint(lam, alpha, sigma, violated))
-            if violated and (best is None or sigma < best[0]):
-                wr = np.real(w)
-                best = (sigma, wr / np.linalg.norm(wr), points[-1])
+            scan(lam, np.vstack([M.T, B_T]), alpha)
 
     points.sort(key=lambda p: (p.lam, p.alpha))
     report = HautusReport(condition=condition, points=points, complex_points=complex_points)
     if best is not None:
-        report.witness = best[1]
-        report.witness_point = best[2]
+        _, S0, alpha, report.witness_point = best
+        report.witness = _witness(S0, alpha)
     return report
 
 

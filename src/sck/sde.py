@@ -230,6 +230,14 @@ def _euler_step(X: np.ndarray, F_T: np.ndarray, C_T: np.ndarray, dw: np.ndarray,
     return out
 
 
+def _initial_state(x0, sys: StochasticSystem) -> np.ndarray:
+    """x0 as a vector of length n, checked before any simulation."""
+    x0 = as_vector(x0, "x0")
+    if x0.shape[0] != sys.n:
+        raise DimensionError(f"x0 must have length n={sys.n}, got {x0.shape[0]}")
+    return x0
+
+
 def _forward_sweep(
     sys: StochasticSystem, x0, control: Control, cfg: SimConfig
 ) -> Iterator[tuple[int, Optional[np.ndarray], np.ndarray]]:
@@ -238,9 +246,7 @@ def _forward_sweep(
     The sweep yields (k, dW_{k-1}, X_k) for k = 0..K, with dW None at k = 0.
     Nothing is allocated until it is iterated.
     """
-    x0 = as_vector(x0, "x0")
-    if x0.shape[0] != sys.n:
-        raise DimensionError(f"x0 must have length n={sys.n}")
+    x0 = _initial_state(x0, sys)
     control = _validate_control(control, sys, cfg.n_steps)
     F_T = np.eye(sys.n) + cfg.dt * sys.A.T
     C_T = sys.C.T
@@ -379,7 +385,7 @@ def girsanov_check(
     identical and the error is exactly zero.
     """
     lam = float(lam)
-    x0 = as_vector(x0, "x0")
+    x0 = _initial_state(x0, sys)
     dts = [float(d) for d in dt_list]
     if not dts:
         raise DomainError("dt_list must be non-empty")

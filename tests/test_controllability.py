@@ -3,8 +3,10 @@ import pytest
 
 from oracles import check_largest_invariant, random_dissipative_system
 from sck import (
+    HeatSystemSpec,
     StochasticSystem,
     ToleranceConfig,
+    assemble_divform_1d,
     assemble_example2,
     check_condition,
     commuting_case_check,
@@ -13,6 +15,7 @@ from sck import (
     verdict,
 )
 from sck.exceptions import DomainError
+from sck.galerkin import polynomial, trigonometric
 
 PI2 = np.pi**2
 
@@ -129,6 +132,83 @@ class TestCheckCondition:
         assert len(rep.complex_points) == 1
         assert rep.complex_points[0].alpha == pytest.approx(-1.0)
         assert rep.complex_points[0].alpha_im == pytest.approx(5.0)
+
+
+def parity_system(N):
+    """divform1d with a = 1 + 0.5 sin(pi x), c = 0.3 cos(pi x), b = x - x^2.
+
+    The even sine modes span a subspace inside Ker B^T that every
+    (A + lam C)^T maps into itself, so each pencil operator has exactly N/2
+    uncontrolled eigenvalues, all with eigenvectors on the even modes.
+    """
+    spec = HeatSystemSpec(N, trigonometric(1.0, [0.5]), trigonometric(0.0, [], [0.3]),
+                          polynomial([0.0, 1.0, -1.0]))
+    return assemble_divform_1d(spec)
+
+
+class TestParityScan:
+    N = 64
+    LAMBDAS = [-1.0, -0.5, 0.5, 1.0]
+
+    @pytest.fixture(scope="class")
+    def scans(self):
+        s = parity_system(self.N)
+        return s, check_condition(s, [], "N1"), check_condition(s, self.LAMBDAS, "N2")
+
+    def test_each_operator_flags_half_the_modes(self, scans):
+        _, n1, n2 = scans
+        assert len(n1.violations) == self.N // 2
+        for lam in self.LAMBDAS:
+            assert sum(p.violated for p in n2.points if p.lam == lam) == self.N // 2
+
+    def test_witness_lies_on_even_modes(self, scans):
+        s, n1, n2 = scans
+        for rep in (n1, n2):
+            p, w = rep.witness_point, rep.witness
+            assert p.violated
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+            # index 0 is sin(pi x): the odd sine modes sit at even indices
+            assert np.linalg.norm(w[0::2]) <= 1e-10
+            M = s.A + p.lam * s.C
+            resid = np.linalg.norm(M.T @ w - p.alpha * w) + np.linalg.norm(s.B.T @ w)
+            assert resid <= 10 * ToleranceConfig().rank_tol
+
+    def test_sigma_matches_full_svd(self, scans):
+        s, n1, n2 = scans
+        eps = np.finfo(float).eps
+        for p in n1.points + n2.points:
+            M = s.A + p.lam * s.C
+            S = np.vstack([M.T - p.alpha * np.eye(self.N), s.B.T])
+            svals = np.linalg.svd(S)[1]
+            assert abs(p.sigma_min - svals[-1]) <= 16 * eps * svals[0]
+
+
+class TestScanCost:
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        """compute_uv of every np.linalg.svd call, in order."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, full_matrices=True, compute_uv=True, *args, **kwargs):
+            calls.append(compute_uv)
+            return svd(a, full_matrices, compute_uv, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def test_violations_take_one_svd_with_vectors(self, svd_calls):
+        lam = -3 * PI2
+        rep = check_condition(example2_system(), [lam], "N2",
+                              explicit_points=[(lam, -4 * PI2), (lam, -1.0)])
+        assert len(rep.violations) == 2
+        assert svd_calls.count(True) == 1
+        assert svd_calls.count(False) == len(rep.points) + len(rep.complex_points)
+
+    def test_passing_scan_takes_no_vectors(self, svd_calls):
+        rep = check_condition(example2_system(), [], "N1")
+        assert rep.passed and rep.witness is None
+        assert svd_calls == [False] * len(rep.points)
 
 
 class TestStrictInvariantSubspace:

@@ -16,6 +16,7 @@ from sck import (
     simulate_flow,
     simulate_forward,
 )
+from sck import sde
 from sck.exceptions import DimensionError, DomainError, StabilityError
 from sck.sde import BLOWUP_LIMIT, _check_blowup
 
@@ -284,6 +285,17 @@ class TestGirsanov:
         with pytest.raises(DomainError):
             # 0.3 does not divide the horizon
             girsanov_check(s, 0.5, [1.0], ZeroControl(), cfg, [0.3])
+
+    def test_x0_length_checked_before_simulation(self, monkeypatch):
+        s = StochasticSystem(np.diag([-1.0, -2.0]), np.ones((2, 1)))
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=4, seed=0)
+
+        def no_noise(*args):
+            raise AssertionError("noise drawn before x0 was checked")
+
+        monkeypatch.setattr(sde, "_noise", no_noise)
+        with pytest.raises(DimensionError, match="x0"):
+            girsanov_check(s, 0.5, np.ones(3), ZeroControl(), cfg, [0.1])
 
 
 class TestFitOrder:
