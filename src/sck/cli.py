@@ -1,5 +1,8 @@
 """Command-line interface: subcommand dispatch and report serialization.
 
+Each subcommand is one entry of ``COMMANDS``: a run function that builds its
+payload from the run configuration, and a rows function that flattens that
+payload into the subcommand's CSV table.
 Reports embed the tool version, the fully resolved configuration, the seed
 and the wall-clock duration; the numerical results live under ``payload``.
 Re-running the embedded config reproduces the payload bit for bit.  Exit
@@ -16,6 +19,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import Any, Optional
 
 import numpy as np
@@ -24,11 +28,21 @@ from . import __version__, bsde, controllability, galerkin, sde, systems
 from .config import ConfigError, RunConfig, parse_run_config
 from .exceptions import NumericsError
 
-SUBCOMMANDS = (
-    "check-n1", "check-n2", "invariant-subspace", "lambda-set", "verdict",
-    "assemble", "ellipticity", "b-coeffs", "simulate-forward", "duality",
-    "girsanov", "apriori", "convergence",
-)
+# Keys shared by a payload and its CSV header.  _fields reads each key from the
+# attribute of the same name, or from _ATTRIBUTE[key] where the name differs.
+_HAUTUS_POINT = ("lambda", "alpha", "alpha_im", "sigma_min", "violated")
+_LAMBDA_POINT = ("lambda", "in_set", "margin", "boundary")
+_VERDICT = ("verdict", "invariant_subspace_dim", "n1_passed", "n2_passed",
+            "commuting_case", "consistency_warning")
+_MATRICES = ("A", "B", "C1", "C2")
+_ELLIPTICITY = ("ok", "min_margin", "alpha", "grid_points")
+_B_MODE = ("mode_index", "eigenvalue", "coefficient", "near_zero")
+_DUALITY = ("lhs", "rhs", "stderr", "bias_allowance", "dt", "passed", "feedback_control")
+_GIRSANOV_POINT = ("dt", "sup_error")
+_APRIORI_SAMPLE = ("sample_index", "xi_mean_square", "sup_mean_y_square",
+                   "int_mean_z_square", "ratio")
+_CONVERGENCE_ROW = ("nres", "delta", "err_yosida", "err_mollifier", "err_total", "err_bsde")
+_ATTRIBUTE = {"lambda": "lam", "sample_index": "index"}
 
 
 def _jsonable(obj: Any) -> Any:
@@ -47,28 +61,23 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def _hautus_payload(report: controllability.HautusReport) -> dict:
-    def point(p):
-        return {
-            "lambda": p.lam, "alpha": p.alpha, "alpha_im": p.alpha_im,
-            "sigma_min": p.sigma_min, "violated": p.violated,
-        }
+def _fields(obj, *names: str) -> dict:
+    """Payload dict of the named attributes of a result object, in order."""
+    return {k: getattr(obj, _ATTRIBUTE.get(k, k)) for k in names}
 
+
+def _hautus_payload(report: controllability.HautusReport) -> dict:
     payload = {
         "condition": report.condition,
         "passed": report.passed,
         "min_sigma": report.min_sigma if report.points else None,
-        "points": [point(p) for p in report.points],
-        "complex_points": [point(p) for p in report.complex_points],
-        "witness": None if report.witness is None else report.witness.tolist(),
+        "points": [_fields(p, *_HAUTUS_POINT) for p in report.points],
+        "complex_points": [_fields(p, *_HAUTUS_POINT) for p in report.complex_points],
+        "witness": report.witness,
     }
     if report.witness_point is not None:
-        payload["witness_point"] = point(report.witness_point)
+        payload["witness_point"] = _fields(report.witness_point, *_HAUTUS_POINT)
     return payload
-
-
-def _subspace_payload(basis: systems.SubspaceBasis) -> dict:
-    return {"dim": basis.dim, "basis": basis.basis.tolist()}
 
 
 def _require_feature(value, name: str):
@@ -84,207 +93,195 @@ def _terminal_samples(cfg: RunConfig):
     return [base.scaled(c) for c in (1.0, 2.0, 4.0, 8.0, 16.0)]
 
 
-def run_subcommand(name: str, cfg: RunConfig) -> dict:
-    """Execute one subcommand and return its JSON-ready payload."""
-    tol = cfg.tolerances
+# ---------------------------------------------------------------------------
+# subcommands: each run(cfg) builds the payload, assembling the system itself
+# so that a missing section is reported only after assembly succeeded
 
-    if name == "ellipticity":
-        a_fn, c_fn = cfg.coefficient_fns()
-        ok, margin = galerkin.check_ellipticity(
-            a_fn, c_fn, cfg.ellipticity_alpha, cfg.ellipticity_grid_points,
-            psd_tol=tol.psd_tol,
-        )
-        return {
-            "ok": ok, "min_margin": margin,
-            "alpha": cfg.ellipticity_alpha, "grid_points": cfg.ellipticity_grid_points,
-        }
+def _hautus(system, grid, condition: str, cfg: RunConfig) -> dict:
+    return _hautus_payload(controllability.check_condition(
+        system, grid, condition, cfg.tolerances, explicit_points=cfg.explicit_points or None
+    ))
 
+
+def _check_n1(cfg: RunConfig) -> dict:
+    return _hautus(cfg.make_system(), [], "N1", cfg)
+
+
+def _check_n2(cfg: RunConfig) -> dict:
     system = cfg.make_system()
+    return _hautus(system, _require_feature(cfg.lambda_grid, "lambda_grid"), "N2", cfg)
 
-    if name == "check-n1":
-        rep = controllability.check_condition(
-            system, [], "N1", tol, explicit_points=cfg.explicit_points or None
-        )
-        return _hautus_payload(rep)
-    if name == "check-n2":
-        grid = _require_feature(cfg.lambda_grid, "lambda_grid")
-        rep = controllability.check_condition(
-            system, grid, "N2", tol, explicit_points=cfg.explicit_points or None
-        )
-        return _hautus_payload(rep)
-    if name == "invariant-subspace":
-        basis = controllability.strict_invariant_subspace(system.A, system.C, system.B, tol)
-        return _subspace_payload(basis)
-    if name == "lambda-set":
-        grid = _require_feature(cfg.lambda_grid, "lambda_grid")
-        pts = systems.lambda_set(system, grid, tol)
-        return {"points": [
-            {"lambda": p.lam, "in_set": p.in_set, "margin": p.margin, "boundary": p.boundary}
-            for p in pts
-        ]}
-    if name == "verdict":
-        v = controllability.verdict(system, cfg.lambda_grid, tol)
-        return {
-            "verdict": v.verdict,
-            "invariant_subspace_dim": v.invariant_subspace_dim,
-            "n1_passed": v.n1_passed,
-            "n2_passed": v.n2_passed,
-            "commuting_case": v.commuting_case,
-            "consistency_warning": v.consistency_warning,
-            "lambdas_used": v.lambdas_used,
-            "finite_dimensional": True,
-            "n1": _hautus_payload(v.n1_report),
-            "n2": None if v.n2_report is None else _hautus_payload(v.n2_report),
-            "subspace": _subspace_payload(v.subspace),
-        }
-    if name == "assemble":
-        return {
-            "n": system.n, "m": system.m, "gamma": system.gamma,
-            "A": system.A.tolist(), "B": system.B.tolist(),
-            "C1": system.C1.tolist(), "C2": system.C2.tolist(),
-        }
-    if name == "b-coeffs":
-        modes = galerkin.b_coefficient_test(system, tol)
-        return {"modes": [
-            {"mode_index": m.mode_index, "eigenvalue": m.eigenvalue,
-             "coefficient": m.coefficient, "near_zero": m.near_zero}
-            for m in modes
-        ]}
 
-    sim = _require_feature(cfg.sim, "sim")
+def _invariant_subspace(cfg: RunConfig) -> dict:
+    system = cfg.make_system()
+    basis = controllability.strict_invariant_subspace(system.A, system.C, system.B, cfg.tolerances)
+    return _fields(basis, "dim", "basis")
 
-    if name == "simulate-forward":
-        x0 = _require_feature(cfg.x0, "x0")
-        times, mean, second = sde.ensemble_moments(system, x0, cfg.control, sim)
-        return {"times": times.tolist(), "mean": mean.tolist(),
-                "second_moment": second.tolist()}
-    if name == "duality":
-        x0 = _require_feature(cfg.x0, "x0")
-        terminal = _require_feature(cfg.terminal, "terminal")
-        rep = bsde.duality_check(system, x0, cfg.control, terminal, sim,
-                                 cfg.n_regression_times)
-        return {
-            "lhs": rep.lhs, "rhs": rep.rhs, "stderr": rep.stderr,
-            "bias_allowance": rep.bias_allowance, "dt": rep.dt,
-            "passed": rep.passed, "feedback_control": rep.feedback_control,
-        }
-    if name == "girsanov":
-        x0 = _require_feature(cfg.x0, "x0")
-        if cfg.girsanov_lambda is None:
-            raise ConfigError("girsanov.lambda: required by this subcommand")
-        dts = _require_feature(cfg.girsanov_dt_list, "girsanov.dt_list")
-        points = sde.girsanov_check(system, cfg.girsanov_lambda, x0, cfg.control, sim, dts)
-        return {
-            "lambda": cfg.girsanov_lambda,
-            "points": [{"dt": d, "sup_error": e} for d, e in points],
-            "fitted_order": sde.fit_convergence_order(points),
-        }
-    if name == "apriori":
-        rep = bsde.apriori_bound_check(system, _terminal_samples(cfg), sim,
-                                       cfg.n_regression_times)
-        return {
-            "k_hat": rep.k_hat, "scale_spread": rep.scale_spread, "scale_ok": rep.scale_ok,
-            "samples": [
-                {"sample_index": s.index, "xi_mean_square": s.xi_mean_square,
-                 "sup_mean_y_square": s.sup_mean_y_square,
-                 "int_mean_z_square": s.int_mean_z_square, "ratio": s.ratio}
-                for s in rep.samples
-            ],
-        }
-    if name == "convergence":
-        n_list = _require_feature(cfg.convergence_n_list, "convergence.n_list")
-        d_list = _require_feature(cfg.convergence_delta_list, "convergence.delta_list")
-        rep = bsde.approximation_convergence(
-            system, cfg.terminal, sim, n_list, d_list,
-            lam=cfg.convergence_lambda, n_regression_times=cfg.n_regression_times,
-        )
-        return {
-            "lambda": rep.lam, "n_list": rep.n_list, "delta_list": rep.delta_list,
-            "yosida_decreasing_in_n": rep.yosida_decreasing_in_n,
-            "mollifier_decreasing_in_delta": rep.mollifier_decreasing_in_delta,
-            "total_decreasing_in_delta_at_max_n": rep.total_decreasing_in_delta_at_max_n,
-            "bsde_decreasing_in_n": rep.bsde_decreasing_in_n,
-            "bsde_decreasing_in_delta_at_max_n": rep.bsde_decreasing_in_delta_at_max_n,
-            "rows": [
-                {"nres": r.nres, "delta": r.delta, "err_yosida": r.err_yosida,
-                 "err_mollifier": r.err_mollifier, "err_total": r.err_total,
-                 "err_bsde": r.err_bsde}
-                for r in rep.rows
-            ],
-        }
-    raise ConfigError(f"unknown subcommand {name!r}")
+
+def _lambda_set(cfg: RunConfig) -> dict:
+    system = cfg.make_system()
+    grid = _require_feature(cfg.lambda_grid, "lambda_grid")
+    return {"points": [_fields(p, *_LAMBDA_POINT)
+                       for p in systems.lambda_set(system, grid, cfg.tolerances)]}
+
+
+def _verdict(cfg: RunConfig) -> dict:
+    v = controllability.verdict(cfg.make_system(), cfg.lambda_grid, cfg.tolerances)
+    return {
+        **_fields(v, *_VERDICT, "lambdas_used"),
+        "finite_dimensional": True,
+        "n1": _hautus_payload(v.n1_report),
+        "n2": None if v.n2_report is None else _hautus_payload(v.n2_report),
+        "subspace": _fields(v.subspace, "dim", "basis"),
+    }
+
+
+def _assemble(cfg: RunConfig) -> dict:
+    return _fields(cfg.make_system(), "n", "m", "gamma", *_MATRICES)
+
+
+def _ellipticity(cfg: RunConfig) -> dict:
+    a_fn, c_fn = cfg.coefficient_fns()
+    ok, margin = galerkin.check_ellipticity(
+        a_fn, c_fn, cfg.ellipticity_alpha, cfg.ellipticity_grid_points,
+        psd_tol=cfg.tolerances.psd_tol,
+    )
+    return dict(zip(_ELLIPTICITY,
+                    (ok, margin, cfg.ellipticity_alpha, cfg.ellipticity_grid_points)))
+
+
+def _b_coeffs(cfg: RunConfig) -> dict:
+    modes = galerkin.b_coefficient_test(cfg.make_system(), cfg.tolerances)
+    return {"modes": [_fields(m, *_B_MODE) for m in modes]}
+
+
+def _simulate_forward(cfg: RunConfig) -> dict:
+    system, sim = cfg.make_system(), _require_feature(cfg.sim, "sim")
+    x0 = _require_feature(cfg.x0, "x0")
+    moments = sde.ensemble_moments(system, x0, cfg.control, sim)
+    return dict(zip(("times", "mean", "second_moment"), moments))
+
+
+def _duality(cfg: RunConfig) -> dict:
+    system, sim = cfg.make_system(), _require_feature(cfg.sim, "sim")
+    x0 = _require_feature(cfg.x0, "x0")
+    terminal = _require_feature(cfg.terminal, "terminal")
+    rep = bsde.duality_check(system, x0, cfg.control, terminal, sim, cfg.n_regression_times)
+    return _fields(rep, *_DUALITY)
+
+
+def _girsanov(cfg: RunConfig) -> dict:
+    system, sim = cfg.make_system(), _require_feature(cfg.sim, "sim")
+    x0 = _require_feature(cfg.x0, "x0")
+    lam = _require_feature(cfg.girsanov_lambda, "girsanov.lambda")
+    dts = _require_feature(cfg.girsanov_dt_list, "girsanov.dt_list")
+    points = sde.girsanov_check(system, lam, x0, cfg.control, sim, dts)
+    return {
+        "lambda": lam,
+        "points": [dict(zip(_GIRSANOV_POINT, p)) for p in points],
+        "fitted_order": sde.fit_convergence_order(points),
+    }
+
+
+def _apriori(cfg: RunConfig) -> dict:
+    system, sim = cfg.make_system(), _require_feature(cfg.sim, "sim")
+    rep = bsde.apriori_bound_check(system, _terminal_samples(cfg), sim, cfg.n_regression_times)
+    return {
+        **_fields(rep, "k_hat", "scale_spread", "scale_ok"),
+        "samples": [_fields(s, *_APRIORI_SAMPLE) for s in rep.samples],
+    }
+
+
+def _convergence(cfg: RunConfig) -> dict:
+    system, sim = cfg.make_system(), _require_feature(cfg.sim, "sim")
+    n_list = _require_feature(cfg.convergence_n_list, "convergence.n_list")
+    d_list = _require_feature(cfg.convergence_delta_list, "convergence.delta_list")
+    rep = bsde.approximation_convergence(
+        system, cfg.terminal, sim, n_list, d_list,
+        lam=cfg.convergence_lambda, n_regression_times=cfg.n_regression_times,
+    )
+    return {
+        **_fields(rep, "lambda", "n_list", "delta_list", "yosida_decreasing_in_n",
+                  "mollifier_decreasing_in_delta", "total_decreasing_in_delta_at_max_n",
+                  "bsde_decreasing_in_n", "bsde_decreasing_in_delta_at_max_n"),
+        "rows": [_fields(r, *_CONVERGENCE_ROW) for r in rep.rows],
+    }
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# CSV tables: each rows(payload) flattens a JSON-ready payload into
+# (header, rows)
+
+def _key_value(*keys: str):
+    return lambda payload: (["key", "value"], [[k, payload[k]] for k in keys])
+
+
+def _records(list_key: str, header: tuple[str, ...]):
+    return lambda payload: (list(header), [[r[k] for k in header] for r in payload[list_key]])
+
+
+def _hautus_rows(payload: dict):
+    return ["condition", *_HAUTUS_POINT], [
+        [payload["condition"], *(p[k] for k in _HAUTUS_POINT)]
+        for p in payload["points"] + payload["complex_points"]
+    ]
+
+
+def _subspace_rows(payload: dict):
+    return ["vector_index", "coordinate", "value"], [
+        [j, i, row[j]] for j in range(payload["dim"]) for i, row in enumerate(payload["basis"])
+    ]
+
+
+def _matrix_rows(payload: dict):
+    return ["matrix", "row", "col", "value"], [
+        [name, i, j, v]
+        for name in _MATRICES for i, row in enumerate(payload[name]) for j, v in enumerate(row)
+    ]
+
+
+def _moment_rows(payload: dict):
+    return ["time", "coordinate", "mean", "second_moment"], [
+        [t, i, m, s]
+        for t, mean, second in zip(payload["times"], payload["mean"], payload["second_moment"])
+        for i, (m, s) in enumerate(zip(mean, second))
+    ]
+
+
+# name -> (run, rows); the order is the order of the --help choices
+COMMANDS = {
+    "check-n1": (_check_n1, _hautus_rows),
+    "check-n2": (_check_n2, _hautus_rows),
+    "invariant-subspace": (_invariant_subspace, _subspace_rows),
+    "lambda-set": (_lambda_set, _records("points", _LAMBDA_POINT)),
+    "verdict": (_verdict, _key_value(*_VERDICT)),
+    "assemble": (_assemble, _matrix_rows),
+    "ellipticity": (_ellipticity, _key_value(*_ELLIPTICITY)),
+    "b-coeffs": (_b_coeffs, _records("modes", _B_MODE)),
+    "simulate-forward": (_simulate_forward, _moment_rows),
+    "duality": (_duality, _key_value(*_DUALITY)),
+    "girsanov": (_girsanov, _records("points", _GIRSANOV_POINT)),
+    "apriori": (_apriori, _records("samples", _APRIORI_SAMPLE)),
+    "convergence": (_convergence, _records("rows", _CONVERGENCE_ROW)),
+}
+SUBCOMMANDS = tuple(COMMANDS)
+
+
+def _command(name: str):
+    if name not in COMMANDS:
+        raise ConfigError(f"unknown subcommand {name!r}")
+    return COMMANDS[name]
+
+
+def run_subcommand(name: str, cfg: RunConfig) -> dict:
+    """Execute one subcommand and return its payload (numpy values become JSON
+    types when the report is rendered)."""
+    return _command(name)[0](cfg)
+
 
 def payload_rows(subcommand: str, payload: dict) -> tuple[list[str], list[list]]:
     """Flatten a payload into the fixed-header point table used for CSV."""
-    if subcommand in ("check-n1", "check-n2"):
-        header = ["condition", "lambda", "alpha", "alpha_im", "sigma_min", "violated"]
-        rows = [
-            [payload["condition"], p["lambda"], p["alpha"], p["alpha_im"],
-             p["sigma_min"], p["violated"]]
-            for p in payload["points"] + payload["complex_points"]
-        ]
-        return header, rows
-    if subcommand == "invariant-subspace":
-        basis = payload["basis"]
-        rows = []
-        for j in range(payload["dim"]):
-            for i, row in enumerate(basis):
-                rows.append([j, i, row[j]])
-        return ["vector_index", "coordinate", "value"], rows
-    if subcommand == "lambda-set":
-        return (
-            ["lambda", "in_set", "margin", "boundary"],
-            [[p["lambda"], p["in_set"], p["margin"], p["boundary"]]
-             for p in payload["points"]],
-        )
-    if subcommand == "verdict":
-        keys = ["verdict", "invariant_subspace_dim", "n1_passed", "n2_passed",
-                "commuting_case", "consistency_warning"]
-        return ["key", "value"], [[k, payload[k]] for k in keys]
-    if subcommand == "assemble":
-        rows = []
-        for name in ("A", "B", "C1", "C2"):
-            M = payload[name]
-            for i, row in enumerate(M):
-                for j, v in enumerate(row):
-                    rows.append([name, i, j, v])
-        return ["matrix", "row", "col", "value"], rows
-    if subcommand == "ellipticity":
-        keys = ["ok", "min_margin", "alpha", "grid_points"]
-        return ["key", "value"], [[k, payload[k]] for k in keys]
-    if subcommand == "b-coeffs":
-        return (
-            ["mode_index", "eigenvalue", "coefficient", "near_zero"],
-            [[m["mode_index"], m["eigenvalue"], m["coefficient"], m["near_zero"]]
-             for m in payload["modes"]],
-        )
-    if subcommand == "simulate-forward":
-        rows = []
-        for t, mean, second in zip(payload["times"], payload["mean"], payload["second_moment"]):
-            for i, (m, s) in enumerate(zip(mean, second)):
-                rows.append([t, i, m, s])
-        return ["time", "coordinate", "mean", "second_moment"], rows
-    if subcommand == "duality":
-        keys = ["lhs", "rhs", "stderr", "bias_allowance", "dt", "passed",
-                "feedback_control"]
-        return ["key", "value"], [[k, payload[k]] for k in keys]
-    if subcommand == "girsanov":
-        return (
-            ["dt", "sup_error"],
-            [[p["dt"], p["sup_error"]] for p in payload["points"]],
-        )
-    if subcommand == "apriori":
-        header = ["sample_index", "xi_mean_square", "sup_mean_y_square",
-                  "int_mean_z_square", "ratio"]
-        return header, [[s[k] for k in header] for s in payload["samples"]]
-    if subcommand == "convergence":
-        header = ["nres", "delta", "err_yosida", "err_mollifier", "err_total", "err_bsde"]
-        return header, [[r[k] for k in header] for r in payload["rows"]]
-    raise ConfigError(f"unknown subcommand {subcommand!r}")
+    return _command(subcommand)[1](payload)
 
 
 def _csv_cell(v) -> str:
@@ -370,10 +367,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.seed is not None:
             if cfg.sim is None:
                 raise ConfigError("--seed given but config has no sim section")
-            cfg.sim = sde.SimConfig(
-                T=cfg.sim.T, dt=cfg.sim.dt, n_paths=cfg.sim.n_paths,
-                seed=args.seed, regression_degree=cfg.sim.regression_degree,
-            )
+            cfg.sim = replace(cfg.sim, seed=args.seed)
             cfg.resolved["sim"]["seed"] = args.seed
         if args.format:
             cfg.format = args.format

@@ -9,7 +9,7 @@ steps can be redrawn on demand without materialising the whole array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -398,8 +398,7 @@ def girsanov_check(
     C2_T = (C + lam * eye).T
     out = []
     for dt in dts:
-        run = SimConfig(T=cfg.T, dt=dt, n_paths=cfg.n_paths, seed=cfg.seed,
-                        regression_degree=cfg.regression_degree)
+        run = replace(cfg, dt=dt)
         ctrl = _validate_control(control, sys, run.n_steps)
         F_T, F2_T = eye + dt * A.T, eye + dt * A2.T
         X = np.tile(x0, (run.n_paths, 1))

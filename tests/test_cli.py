@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from sck.cli import main, payload_rows, render_csv
+from sck.cli import SUBCOMMANDS, main, payload_rows, render_csv, run_subcommand
 from sck.config import ConfigError, parse_pi_expression, parse_run_config
 
 PI2 = math.pi**2
@@ -20,6 +21,28 @@ def run_cli(tmp_path, subcommand, config, name="cfg.json", extra=()):
 
 
 EXAMPLE2 = {"system": {"example2": {"N": 4, "b_coeffs": [0.5, 0.5, 0.5, 0.5]}}}
+SMALL_SIM = {"T": 0.2, "dt": 0.01, "n_paths": 200, "seed": 11}
+DIVFORM_ELLIPTICITY = {
+    "system": {"divform1d": {"N": 4, "a": 1.0, "c": 2.0, "b": 1.0}},
+    "ellipticity": {"alpha": 0.6, "grid_points": 200},
+}
+
+# CSV header of every subcommand, pinned as documented in the README table.
+CSV_HEADERS = {
+    "check-n1": "condition,lambda,alpha,alpha_im,sigma_min,violated",
+    "check-n2": "condition,lambda,alpha,alpha_im,sigma_min,violated",
+    "invariant-subspace": "vector_index,coordinate,value",
+    "lambda-set": "lambda,in_set,margin,boundary",
+    "verdict": "key,value",
+    "assemble": "matrix,row,col,value",
+    "ellipticity": "key,value",
+    "b-coeffs": "mode_index,eigenvalue,coefficient,near_zero",
+    "simulate-forward": "time,coordinate,mean,second_moment",
+    "duality": "key,value",
+    "girsanov": "dt,sup_error",
+    "apriori": "sample_index,xi_mean_square,sup_mean_y_square,int_mean_z_square,ratio",
+    "convergence": "nres,delta,err_yosida,err_mollifier,err_total,err_bsde",
+}
 
 
 class TestPiExpression:
@@ -124,6 +147,39 @@ class TestErrorStatuses:
         assert code == 0
         assert json.loads(text)["payload"]["verdict"] == "NotApproxControllable"
 
+    @pytest.mark.parametrize("sub,extra,missing", [
+        ("simulate-forward", {}, "sim"),
+        ("duality", {}, "sim"),
+        ("girsanov", {}, "sim"),
+        ("apriori", {}, "sim"),
+        ("convergence", {}, "sim"),
+        ("simulate-forward", {"sim": SMALL_SIM}, "x0"),
+        ("duality", {"sim": SMALL_SIM}, "x0"),
+        ("girsanov", {"sim": SMALL_SIM}, "x0"),
+        ("apriori", {"sim": SMALL_SIM}, "terminal"),
+        ("convergence", {"sim": SMALL_SIM}, "convergence.n_list"),
+        ("duality", {"sim": SMALL_SIM, "x0": [1, 1, 1, 1]}, "terminal"),
+        ("girsanov", {"sim": SMALL_SIM, "x0": [1, 1, 1, 1]}, "girsanov.lambda"),
+        ("girsanov", {"sim": SMALL_SIM, "x0": [1, 1, 1, 1], "girsanov": {"lambda": 1.0}},
+         "girsanov.dt_list"),
+        ("convergence", {"sim": SMALL_SIM, "convergence": {"n_list": [10]}},
+         "convergence.delta_list"),
+        ("check-n2", {}, "lambda_grid"),
+        ("lambda-set", {}, "lambda_grid"),
+    ])
+    def test_first_missing_section_is_named(self, tmp_path, sub, extra, missing):
+        raw = dict(EXAMPLE2, **extra)
+        code, text = run_cli(tmp_path, sub, raw)
+        assert code == 1 and text is None
+        with pytest.raises(ConfigError, match=f"^{re.escape(missing)}: required"):
+            run_subcommand(sub, parse_run_config(raw))
+
+    def test_unknown_subcommand_in_library_calls(self):
+        with pytest.raises(ConfigError, match="unknown subcommand"):
+            run_subcommand("frobnicate", parse_run_config(dict(EXAMPLE2, sim=SMALL_SIM)))
+        with pytest.raises(ConfigError, match="unknown subcommand"):
+            payload_rows("frobnicate", {})
+
 
 class TestEllipticityCommand:
     DIVFORM = {
@@ -176,6 +232,18 @@ class TestCsvAndParity:
         ("invariant-subspace", {}),
         ("assemble", {}),
         ("b-coeffs", {}),
+        ("check-n1", {}),
+        ("ellipticity", DIVFORM_ELLIPTICITY),
+        ("simulate-forward", {"sim": SMALL_SIM, "x0": [1, 0, 0, 0],
+                              "control": {"type": "constant", "u": [1.0]}}),
+        ("duality", {"sim": SMALL_SIM, "x0": [1, 1, 1, 1],
+                     "terminal": {"type": "deterministic", "xi": [0, 1, 0, 0]}}),
+        ("girsanov", {"sim": SMALL_SIM, "x0": [1, 1, 1, 1],
+                      "girsanov": {"lambda": -1.0, "dt_list": [0.02, 0.01]}}),
+        ("apriori", {"sim": SMALL_SIM,
+                     "terminal": {"type": "deterministic", "xi": [0.3, 1.0, -0.5, 0.2]}}),
+        ("convergence", {"sim": SMALL_SIM,
+                         "convergence": {"n_list": [10, 100], "delta_list": [0.1, 0.001]}}),
     ])
     def test_csv_matches_json_numbers(self, tmp_path, sub, extra):
         base = dict(EXAMPLE2, **extra)
@@ -184,6 +252,10 @@ class TestCsvAndParity:
         assert code_j == 0 and code_c == 0
         payload = json.loads(text_j)["payload"]
         assert render_csv(sub, payload) == text_c
+        assert text_c.splitlines()[0] == CSV_HEADERS[sub]
+
+    def test_every_subcommand_has_a_pinned_header(self):
+        assert set(CSV_HEADERS) == set(SUBCOMMANDS)
 
     def test_payload_rows_float_roundtrip(self, tmp_path):
         cfg = dict(EXAMPLE2, lambda_grid=[0])
