@@ -1,18 +1,23 @@
 """Dual backward equation solver and the identities built on it.
 
 The backward equation dY = -(A^T Y + C^T Z) dt + Z dW with terminal value xi
-is linear, so its solution has the flow-adjoint representation
+is solved exactly for the Euler scheme.  Every terminal the kit accepts is a
+polynomial of degree <= 1 in W_T, i.e. a combination of the time-space
+Hermite martingales H_0 = 1 and H_1(w, t) = w.  Gaussian increments give
 
-    Y_t = E[ Phi(t, T)^T xi | F_t ],
+    E[H_j(W_{k+1}) | F_k] = H_j(W_k),   E[dW_k H_j(W_{k+1}) | F_k] = j dt H_{j-1}(W_k),
 
-where Phi(t, T) is the fundamental matrix of the uncontrolled forward
-equation from t to T.  The solver estimates these conditional expectations
-on a coarse grid of regression times: terminal values that are
-deterministic need only the plain ensemble mean, while terminals affine in
-W_T are regressed on polynomials of W_t (the true conditional expectation
-is itself affine in W_t, so low-degree regression is exact up to Monte
-Carlo noise).  Z is read off the martingale part of Y: the conditional
-covariance of the centered one-step increment of Y with dW/dt.
+so the discrete dual Y_k = E[(I + dt A^T + C^T dW_k) Y_{k+1} | F_k] stays
+Y_k = sum_j y_j(k) H_j(W_k, t_k), with deterministic coefficients obeying
+
+    y_j(k) = (I + dt A^T) y_j(k+1) + (j+1) dt C^T y_{j+1}(k+1),
+
+and Z_k = E[dW_k Y_{k+1} | F_k] / dt = sum_j j y_j(k+1) H_{j-1}(W_k, t_k).
+The solver runs this n-vector recursion backward and evaluates Y and Z on
+the paths' Brownian values at a reporting grid; no Monte Carlo estimate is
+involved, and a deterministic terminal draws no noise at all.  (Wiener chaos
+and Hermite martingales: Nualart, The Malliavin Calculus and Related Topics,
+ch. 1.)
 """
 
 from __future__ import annotations
@@ -23,13 +28,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DimensionError, DomainError, RegressionError
+from .exceptions import DimensionError, DomainError
 from .sde import (
     Control,
     FeedbackControl,
     SimConfig,
     _bu_term,
-    _euler_step,
+    _check_blowup,
     _forward_sweep,
     _noise,
 )
@@ -61,9 +66,6 @@ class DeterministicTerminal:
     def __post_init__(self):
         object.__setattr__(self, "xi", as_vector(self.xi, "xi"))
 
-    def per_path(self, w_T: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.xi, (w_T.shape[0], self.xi.shape[0]))
-
     def scaled(self, c: float) -> "DeterministicTerminal":
         return DeterministicTerminal(c * self.xi)
 
@@ -83,9 +85,6 @@ class LinearInWTTerminal:
         object.__setattr__(self, "xi0", xi0)
         object.__setattr__(self, "xi1", xi1)
 
-    def per_path(self, w_T: np.ndarray) -> np.ndarray:
-        return self.xi0[None, :] + w_T[:, None] * self.xi1[None, :]
-
     def scaled(self, c: float) -> "LinearInWTTerminal":
         return LinearInWTTerminal(c * self.xi0, c * self.xi1)
 
@@ -93,29 +92,34 @@ class LinearInWTTerminal:
 Terminal = Union[DeterministicTerminal, LinearInWTTerminal]
 
 
-def _terminal_dim(terminal: Terminal) -> int:
+def _hermite_terminal(terminal: Terminal) -> np.ndarray:
+    """Coefficients of Y_T on (H_0, H_1)(W_T, T) = (1, W_T), one row per
+    degree: shape (1, n) for a deterministic terminal, (2, n) for a linear one."""
     if isinstance(terminal, DeterministicTerminal):
-        return terminal.xi.shape[0]
+        return terminal.xi[None, :]
     if isinstance(terminal, LinearInWTTerminal):
-        return terminal.xi0.shape[0]
+        return np.stack([terminal.xi0, terminal.xi1])
     raise DomainError(f"unsupported terminal specification: {terminal!r}")
 
 
 @dataclass
 class BsdeSolution:
-    """Solution estimate on the regression-time grid.
+    """Euler-exact solution on the reporting grid.
 
-    Y, Z have shape (n_times, n_paths, n).  For deterministic terminals the
-    closed form Y_t = exp((T-t) A^T) xi is attached as ``y_exact`` and Z is
-    exactly zero.  ``w`` holds the Brownian values W_t per path at the grid
-    times.
+    Y, Z have shape (n_times, n_paths, n), evaluated from the Hermite
+    coefficients on each path's W_t; Z at the last grid time is Z_{K-1}, the
+    terminal's W_T coefficient.  A deterministic terminal gives Y the same
+    on every path and Z = 0 (both read-only broadcasts), ``w`` None and the
+    continuous-time closed form Y_t = exp((T-t) A^T) xi as ``y_exact``.
+    Otherwise ``w`` holds the Brownian values W_t per path at the grid
+    times, shape (n_paths, n_times).
     """
 
     times: np.ndarray
     Y: np.ndarray
     Z: np.ndarray
     terminal: Terminal
-    w: np.ndarray
+    w: Optional[np.ndarray]
     y_exact: Optional[np.ndarray] = None
 
 
@@ -126,28 +130,38 @@ def _regression_steps(cfg: SimConfig, n_times: int) -> np.ndarray:
     return steps
 
 
-def _cond_exp(values: np.ndarray, w: np.ndarray, degree: int) -> np.ndarray:
-    """Per-path conditional expectation estimate E[values | w].
+def _dual_coefficients(sys: StochasticSystem, terminal: Terminal, cfg: SimConfig) -> np.ndarray:
+    """Hermite coefficients y_j(k) of the Euler dual at every step k = 0..K,
+    shape (K + 1, degree + 1, n), by the backward recursion of the module
+    docstring; each step is checked for blow-up."""
+    y = _hermite_terminal(terminal)
+    if y.shape[1] != sys.n:
+        raise DimensionError(f"terminal dimension must equal n={sys.n}")
+    K, dt = cfg.n_steps, cfg.dt
+    # coefficient vectors are rows, so (I + dt A^T) y is y (I + dt A)
+    F = np.eye(sys.n) + dt * sys.A
+    lift = dt * np.arange(1, len(y))[:, None]  # (j + 1) dt for j = 0..degree-1
+    out = np.empty((K + 1,) + y.shape)
+    out[K] = y
+    for k in range(K - 1, -1, -1):
+        out[k] = out[k + 1] @ F
+        out[k, :-1] += lift * (out[k + 1, 1:] @ sys.C)
+        _check_blowup(out[k], k, dt)
+    return out
 
-    Least squares on a standardized polynomial basis of w.  A constant w
-    (e.g. at t = 0) degenerates to the plain ensemble mean, which is the
-    correct conditional expectation there.
-    """
-    n_paths = values.shape[0]
-    mean_w = float(np.mean(w))
-    std_w = float(np.std(w))
-    if degree == 0 or std_w <= 1e-300:
-        mean = np.mean(values, axis=0)
-        return np.broadcast_to(mean, values.shape)
-    z = (w - mean_w) / std_w
-    design = np.vander(z, degree + 1, increasing=True)
-    beta, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
-    if rank < degree + 1:
-        raise RegressionError(
-            f"regression design is rank-deficient (rank {rank} < {degree + 1}); "
-            "increase n_paths or lower regression_degree"
-        )
-    return design @ beta
+
+def _brownian_at(cfg: SimConfig, steps: np.ndarray) -> np.ndarray:
+    """W at each of the increasing ``steps`` (the first being 0), shape
+    (len(steps), n_paths), in one pass over the noise."""
+    w = np.zeros((len(steps), cfg.n_paths))
+    j = 1
+    cur = w[0]
+    for k, dw in _noise(cfg, range(steps[-1])):
+        cur = cur + dw
+        if k + 1 == steps[j]:
+            w[j] = cur
+            j += 1
+    return w
 
 
 def solve_dual_bsde(
@@ -156,93 +170,46 @@ def solve_dual_bsde(
     cfg: SimConfig,
     n_regression_times: int = 11,
 ) -> BsdeSolution:
-    """Monte Carlo solution of dY = -(A^T Y + C^T Z) dt + Z dW, Y_T = xi.
+    """Solution of dY = -(A^T Y + C^T Z) dt + Z dW, Y_T = xi, exact for the
+    Euler scheme of the forward equation.
 
-    Segment flows of the uncontrolled forward equation are chained backward
-    between consecutive regression times, giving per-path samples
-    V_j = Phi(t_j, T)^T xi without ever inverting a flow matrix;
-    conditional expectations in W_{t_j} then produce Y.  Z at t_j is the
-    regression of (Y_{t_{j+1}} - E[Y_{t_{j+1}} | F_{t_j}]) * dW_j / dt_j,
-    i.e. the covariance of the martingale part of Y with the noise; it
-    vanishes identically for deterministic terminals, matching the exact
-    solution.  The last grid point carries the previous Z value.
-
-    Noise is drawn from the same counter-based stream as every other
-    simulation with this cfg, so forward and backward solvers pair pathwise.
+    The Hermite coefficients come from the backward recursion; Y and Z are
+    evaluated on the reporting grid of ``n_regression_times`` points.  W is
+    drawn in one pass, and only when the terminal depends on W_T, from the
+    same counter-based stream as every other simulation with this cfg, so
+    forward and backward solutions pair pathwise.
     """
-    n = sys.n
-    if _terminal_dim(terminal) != n:
-        raise DimensionError(f"terminal dimension must equal n={n}")
-    deterministic = isinstance(terminal, DeterministicTerminal)
-    degree = 0 if deterministic else cfg.regression_degree
-
+    coef = _dual_coefficients(sys, terminal, cfg)
     steps = _regression_steps(cfg, n_regression_times)
-    R = len(steps)
-    P = cfg.n_paths
-    dt = cfg.dt
-    A, C = sys.A, sys.C
-
-    # Brownian values at the regression times
-    w_at = np.zeros((P, R))
-    j = 0
-    w = np.zeros(P)
-    for k, dw in _noise(cfg, range(cfg.n_steps)):
-        w = w + dw
-        if k + 1 == steps[j + 1]:
-            j += 1
-            w_at[:, j] = w
-
-    xi = terminal.per_path(w_at[:, -1])
-
-    # V_j = Phi(t_j, T)^T xi accumulated backward: the flow is the ordered
-    # product of per-step factors F_k = I + A dt + C dW_k, so its transpose
-    # applies to a vector by walking the steps in reverse, v <- F_k^T v.
-    # The counter-based noise keys make the reverse-order redraw exact.
-    F = np.eye(n) + dt * A
-    V = np.empty((R, P, n))
-    V[R - 1] = xi
-    cur = xi
-    for j in range(R - 2, -1, -1):
-        for k, dw in _noise(cfg, range(steps[j + 1] - 1, steps[j] - 1, -1)):
-            cur = _euler_step(cur, F, C, dw, None, k, dt)
-        V[j] = cur
-
-    Y = np.empty((R, P, n))
-    for j in range(R):
-        Y[j] = _cond_exp(V[j], w_at[:, j], degree)
-
-    Z = np.zeros((R, P, n))
-    if not deterministic:
-        for j in range(R - 1):
-            ddt = dt * (steps[j + 1] - steps[j])
-            predicted = _cond_exp(Y[j + 1], w_at[:, j], degree)
-            centered = Y[j + 1] - predicted
-            dw_seg = w_at[:, j + 1] - w_at[:, j]
-            target = centered * (dw_seg / ddt)[:, None]
-            Z[j] = _cond_exp(target, w_at[:, j], degree)
-        Z[R - 1] = Z[R - 2]
-
-    times = dt * steps.astype(float)
-    y_exact = None
-    if deterministic:
-        T = cfg.T
+    times = cfg.dt * steps.astype(float)
+    shape = (len(steps), cfg.n_paths, sys.n)
+    if coef.shape[1] == 1:
+        Y = np.broadcast_to(coef[steps, 0][:, None], shape)
         y_exact = np.stack(
-            [scipy.linalg.expm((T - t) * A.T) @ terminal.xi for t in times]
+            [scipy.linalg.expm((cfg.T - t) * sys.A.T) @ terminal.xi for t in times]
         )
-    return BsdeSolution(times=times, Y=Y, Z=Z, terminal=terminal, w=w_at, y_exact=y_exact)
+        return BsdeSolution(times=times, Y=Y, Z=np.broadcast_to(0.0, shape),
+                            terminal=terminal, w=None, y_exact=y_exact)
+    w = _brownian_at(cfg, steps)
+    Y = coef[steps, 0][:, None] + w[:, :, None] * coef[steps, 1][:, None]
+    # Z_k = y_1(k + 1); the last grid point carries Z_{K-1} = xi1
+    Z = np.broadcast_to(coef[np.minimum(steps + 1, cfg.n_steps), 1][:, None], shape)
+    return BsdeSolution(times=times, Y=Y, Z=Z, terminal=terminal, w=w.T)
 
 
 @dataclass
 class DualityReport:
     """Monte Carlo check of E<X_T, Y_T> = E<x0, Y_0> + E int <B u_s, Y_s> ds.
 
-    ``stderr`` combines the two estimators' sample standard errors in
-    quadrature.  Each is computed from that side's samples centred on their
-    first value, so it is exactly 0.0 when a side's samples are identical
-    rather than the round-off of their mean.  The pass rule allows 3
-    standard errors plus an explicit discretization allowance proportional
-    to dt.  ``feedback_control`` marks runs whose control is a state
-    feedback (supported, treated as experimental).
+    X comes from the forward Euler sweep and Y from :func:`solve_dual_bsde`
+    on the same noise; Y_T is the terminal value on each path.  ``stderr``
+    combines the two estimators' sample standard errors in quadrature.  Each
+    is computed from that side's samples centred on their first value, so it
+    is exactly 0.0 when a side's samples are identical rather than the
+    round-off of their mean.  The pass rule allows 3 standard errors plus an
+    explicit discretization allowance proportional to dt.
+    ``feedback_control`` marks runs whose control is a state feedback
+    (supported, treated as experimental).
     """
 
     lhs: float
@@ -264,17 +231,18 @@ def duality_check(
 ) -> DualityReport:
     """Verify the forward/backward duality identity on a shared ensemble.
 
-    The forward paths and the backward solver consume the identical
+    The forward paths and the backward solution consume the identical
     counter-based increments, so both sides are evaluated on the same
-    probability-space sample.  The time integral on the right side uses the
-    trapezoid rule over the regression grid; its bias is covered by the
+    probability-space sample; a deterministic terminal draws noise only in
+    the forward sweep.  The time integral on the right side uses the
+    trapezoid rule over the reporting grid; its bias is covered by the
     dt-proportional allowance in the pass rule.
     """
     sweep = _forward_sweep(sys, x0, control, cfg)  # checks inputs before the solve
     sol = solve_dual_bsde(sys, terminal, cfg, n_regression_times)
     steps = _regression_steps(cfg, n_regression_times)
 
-    # the integrand <B u, Y> is taken at each regression step as the sweep
+    # the integrand <B u, Y> is taken at each reporting-grid step as the sweep
     # passes it, so no forward states are stored
     K = cfg.n_steps
     integrand = np.zeros((len(steps), cfg.n_paths))
@@ -285,8 +253,7 @@ def duality_check(
             if bu is not None:
                 integrand[j] = np.einsum("pi,pi->p", np.broadcast_to(bu, X.shape), sol.Y[j])
             j += 1
-    xi = terminal.per_path(sol.w[:, -1])
-    lhs_samples = np.einsum("pi,pi->p", X, xi)
+    lhs_samples = np.einsum("pi,pi->p", X, sol.Y[-1])
     rhs_samples = sol.Y[0] @ as_vector(x0, "x0") + np.trapezoid(integrand, x=sol.times, axis=0)
 
     lhs = float(np.mean(lhs_samples))
@@ -356,12 +323,11 @@ def apriori_bound_check(
     vecs = []
     for i, term in enumerate(samples):
         sol = solve_dual_bsde(sys, term, cfg, n_regression_times)
-        xi = term.per_path(sol.w[:, -1])
-        xi_ms = float(np.mean(np.sum(xi * xi, axis=1)))
-        if xi_ms <= 0:
-            raise DomainError(f"terminal sample {i} has zero mean square")
         mean_y2 = np.mean(np.sum(sol.Y * sol.Y, axis=2), axis=1)  # (R,)
         mean_z2 = np.mean(np.sum(sol.Z * sol.Z, axis=2), axis=1)
+        xi_ms = float(mean_y2[-1])  # Y_T is xi on every path
+        if xi_ms <= 0:
+            raise DomainError(f"terminal sample {i} has zero mean square")
         sup_y = float(np.max(mean_y2))
         int_z = float(np.trapezoid(mean_z2, x=sol.times))
         records.append(
@@ -414,7 +380,9 @@ class ConvergenceRow:
 class ConvergenceReport:
     """Approximation-scheme errors over (nres, delta) pairs.
 
-    The two limits are encoded as monotonicity flags:
+    The two limits are encoded as monotonicity flags, where "strictly
+    decreasing" also accepts a sequence of exact zeros (a gap that is
+    already closed):
     ``yosida_decreasing_in_n`` -- at every delta, the smoothing gap is
     strictly decreasing along n_list; ``mollifier_decreasing_in_delta`` --
     the mollifier gap is strictly decreasing along delta_list;
@@ -422,7 +390,8 @@ class ConvergenceReport:
     gap against the exact semigroup is strictly decreasing along delta_list
     (at small n the smoothing floor dominates and the total gap may
     plateau or not decrease, which is expected).  BSDE flags mirror these
-    when the experiment includes the backward-solver column.
+    when the experiment includes the backward-solver column; for a
+    deterministic terminal Y does not depend on C, so every BSDE gap is 0.0.
     """
 
     rows: list[ConvergenceRow]
@@ -525,7 +494,7 @@ def approximation_convergence(
             )
 
     def decreasing(seq):
-        return all(b < a for a, b in zip(seq, seq[1:]))
+        return all(b < a or a == b == 0.0 for a, b in zip(seq, seq[1:]))
 
     by = {(r.nres, r.delta): r for r in rows}
     n_max = n_list[-1]

@@ -2,8 +2,8 @@
 
 Input-side problems (bad shapes, parameters outside their stated domain,
 non-elliptic coefficients) derive from ``ValueError``; failures arising
-during a computation (singular resolvents, exploding ensembles, degenerate
-regressions) derive from ``NumericsError``.  The CLI maps the first family
+during a computation (singular resolvents, exploding ensembles or dual
+recursions, non-finite coefficient values) derive from ``NumericsError``.  The CLI maps the first family
 to exit status 1 and the second to exit status 2.
 """
 
@@ -29,11 +29,7 @@ class SingularResolventError(NumericsError):
 
 
 class StabilityError(NumericsError):
-    """Euler ensemble blew up; a smaller time step is needed."""
-
-
-class RegressionError(NumericsError):
-    """Conditional-expectation regression has a rank-deficient design."""
+    """Euler ensemble or dual recursion blew up; a smaller time step is needed."""
 
 
 class EvaluationError(NumericsError):

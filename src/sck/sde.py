@@ -45,7 +45,8 @@ class SimConfig:
     dt                 Euler step; T/dt must be an integer within 1e-12
     n_paths            ensemble size (>= 2)
     seed               64-bit unsigned seed of the counter-based generator
-    regression_degree  polynomial degree in W_t for conditional expectations
+    regression_degree  parsed and validated in [0, 6] but no longer used: the
+                       dual solver is exact for the kit's terminals
     """
 
     T: float
@@ -97,10 +98,11 @@ def brownian_increments(cfg: SimConfig, k0: int = 0, k1: Optional[int] = None) -
         k1 = cfg.n_steps
     if not (0 <= k0 <= k1 <= cfg.n_steps):
         raise DomainError(f"invalid step range [{k0}, {k1})")
-    out = np.empty((cfg.n_paths, k1 - k0))
+    # each step's draw fills one contiguous row; the transpose is the block
+    out = np.empty((k1 - k0, cfg.n_paths))
     for k, dw in _noise(cfg, range(k0, k1)):
-        out[:, k - k0] = dw
-    return out
+        out[k - k0] = dw
+    return out.T
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +218,7 @@ def _euler_step(X: np.ndarray, F_T: np.ndarray, C_T: np.ndarray, dw: np.ndarray,
     with the paths on the first axis, checked for blow-up at ``step``.
 
     With F_T = I + dt A^T and C_T = C^T this is the forward update
-    X + (A X + B u) dt + C X dW on row vectors; passing (I + dt A, C) applies
-    the transposed factor instead, as the backward walk of the dual equation
-    does.
+    X + (A X + B u) dt + C X dW on row vectors.
     """
     out = X @ F_T
     noise = X @ C_T
@@ -291,13 +291,13 @@ def simulate_forward(
     rec_pos = {k: i for i, k in enumerate(recorded)}
 
     states = np.empty((cfg.n_paths, len(recorded), sys.n))
-    increments = np.empty((cfg.n_paths, K))
+    increments = np.empty((K, cfg.n_paths))  # row per step, returned transposed
     for k, dw, X in sweep:
         if k:
-            increments[:, k - 1] = dw
+            increments[k - 1] = dw
         if k in rec_pos:
             states[:, rec_pos[k]] = X
-    return PathEnsemble(times=cfg.dt * np.array(recorded, dtype=float), states=states, increments=increments)
+    return PathEnsemble(times=cfg.dt * np.array(recorded, dtype=float), states=states, increments=increments.T)
 
 
 def simulate_flow(

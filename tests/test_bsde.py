@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,12 +17,15 @@ from sck import (
     apriori_bound_check,
     approximation_convergence,
     assemble_example2,
+    brownian_increments,
     duality_check,
     simulate_flow,
     simulate_forward,
     solve_dual_bsde,
 )
-from sck.exceptions import DimensionError, DomainError, RegressionError
+from sck.cli import run_subcommand
+from sck.config import parse_run_config
+from sck.exceptions import DimensionError, DomainError
 
 
 def example2():
@@ -81,19 +87,23 @@ class TestSolveDualBsde:
             z_se = sol.Z[j, :, 0].std(ddof=1) / np.sqrt(cfg.n_paths)
             assert abs(z_est - z_exact) <= 3 * z_se + 3.0 * coarse * (1 + abs(a)) * z_exact
 
-    def test_z_bias_shrinks_with_regression_grid(self):
+    def test_z_is_discrete_exact_on_every_grid_time(self):
+        # dY = -aY dt + Z dW with Y_T = W_T: the Euler dual has
+        # Z_k = y_1(k+1) = (1 + a dt)^(K-k-1) on every path, with no lag of a
+        # grid segment; the last grid point carries Z_{K-1} = 1
         a, T = -0.8, 1.0
         s = StochasticSystem(np.array([[a]]), np.zeros((1, 1)))
-        cfg = SimConfig(T=T, dt=1e-3, n_paths=20000, seed=6)
+        cfg = SimConfig(T=T, dt=1e-3, n_paths=2000, seed=6)
         term = LinearInWTTerminal(np.zeros(1), np.ones(1))
-        errs = []
         for n_reg in (6, 21):
             sol = solve_dual_bsde(s, term, cfg, n_regression_times=n_reg)
-            # compare Z at t = 0.4 against the closed form
-            j = np.argmin(np.abs(sol.times - 0.4))
-            z_exact = np.exp(a * (T - sol.times[j]))
-            errs.append(abs(sol.Z[j, :, 0].mean() - z_exact))
-        assert errs[1] < errs[0]
+            assert len(sol.times) == n_reg
+            steps = np.round(sol.times / cfg.dt).astype(int)
+            z_exact = (1 + a * cfg.dt) ** np.maximum(cfg.n_steps - steps - 1, 0)
+            np.testing.assert_allclose(
+                sol.Z[:, :, 0], np.broadcast_to(z_exact[:, None], sol.Z.shape[:2]),
+                rtol=1e-12, atol=0,
+            )
 
     def test_higher_regression_degree_stays_consistent(self):
         # the conditional expectation is affine in W_t, so degree 3 must
@@ -107,25 +117,40 @@ class TestSolveDualBsde:
         sol3 = solve_dual_bsde(s, term, cfg3)
         assert np.sqrt(np.mean((sol1.Y - sol3.Y) ** 2)) <= 0.01
 
-    def test_y0_is_mean_flow_adjoint(self):
-        # the backward walk applies the transposed step factors of the forward
-        # flow, so Y_0 = E[Phi(0, T)^T xi] up to round-off on the same noise
+    def test_y0_is_discrete_mean_flow_adjoint(self):
+        # the step factors I + dt A^T + C^T dW_k are independent with mean
+        # I + dt A^T, so E[Phi(0, T)^T xi] = (I + dt A^T)^K xi exactly; Y_0
+        # is that value on every path, and the flow sample mean scatters
+        # around it by Monte Carlo noise only
         rng = np.random.default_rng(53)
         A = rng.standard_normal((3, 3)) - 2 * np.eye(3)
         C = 0.5 * rng.standard_normal((3, 3))
         s = StochasticSystem(A, np.zeros((3, 1)), C=C)
-        cfg = SimConfig(T=0.5, dt=0.01, n_paths=200, seed=59)
+        cfg = SimConfig(T=0.5, dt=0.01, n_paths=2000, seed=59)
         xi = np.array([0.4, -1.0, 0.7])
         sol = solve_dual_bsde(s, DeterministicTerminal(xi), cfg)
+        exact = np.linalg.matrix_power(np.eye(3) + cfg.dt * A.T, cfg.n_steps) @ xi
+        assert np.max(np.abs(sol.Y[0] - exact)) <= 1e-12 * np.linalg.norm(exact)
         flows = simulate_flow(s, cfg, record=False).flows[:, -1]
-        target = np.einsum("pij,i->pj", flows, xi).mean(axis=0)
-        assert np.max(np.abs(sol.Y[0] - target)) <= 1e-12 * np.linalg.norm(xi)
+        samples = np.einsum("pij,i->pj", flows, xi)
+        se = samples.std(axis=0, ddof=1) / np.sqrt(cfg.n_paths)
+        assert np.all(se > 0)
+        assert np.all(np.abs(samples.mean(axis=0) - exact) <= 3 * se)
 
-    def test_regression_rank_deficiency_raises(self):
+    def test_three_paths_degree_three_solves_exactly(self):
+        # no regression design to become rank-deficient: with a = -1 and
+        # dt = 0.5, y_1(k) = 0.5^(K-k), so Y_k = 0.5^(2-k) W_k and
+        # Z_k = 0.5^(1-k), with Z_{K-1} = 1 at the last grid point
         s = StochasticSystem(np.array([[-1.0]]), np.zeros((1, 1)))
         cfg = SimConfig(T=1.0, dt=0.5, n_paths=3, seed=1, regression_degree=3)
-        with pytest.raises(RegressionError):
-            solve_dual_bsde(s, LinearInWTTerminal(np.zeros(1), np.ones(1)), cfg)
+        sol = solve_dual_bsde(s, LinearInWTTerminal(np.zeros(1), np.ones(1)), cfg)
+        assert sol.times.tolist() == [0.0, 0.5, 1.0]
+        assert np.all(sol.w[:, 0] == 0.0)
+        assert np.array_equal(sol.w[:, 1:], np.cumsum(brownian_increments(cfg), axis=1))
+        np.testing.assert_allclose(sol.Y[:, :, 0], np.array([[0.25], [0.5], [1.0]]) * sol.w.T,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sol.Z[:, :, 0], np.broadcast_to([[0.5], [1.0], [1.0]], (3, 3)),
+                                   rtol=1e-12, atol=0)
 
     def test_dimension_mismatch(self):
         s = example2()
@@ -272,6 +297,38 @@ class TestAprioriBound:
         assert rep.k_hat == pytest.approx(1.000000000000137, rel=1e-12)
 
 
+    def test_z_energy_is_exact_trapezoid(self):
+        # Z_k = y_1(k+1) on every path, so int E|Z|^2 is the trapezoid of
+        # |y_1(k+1)|^2 over the grid, with y_1(k) = (I + dt A^T)^(K-k) xi1
+        rng = np.random.default_rng(61)
+        A, _, C = random_dissipative_system(rng, 3, c_scale=0.5)
+        s = StochasticSystem(A, np.zeros((3, 1)), C=C)
+        cfg = SimConfig(T=0.5, dt=0.01, n_paths=500, seed=67)
+        xi0, xi1 = rng.standard_normal(3), rng.standard_normal(3)
+        scales = (1.0, 2.0, 3.0, 4.0, 5.0)
+        rep = apriori_bound_check(
+            s, [LinearInWTTerminal(c * xi0, c * xi1) for c in scales], cfg
+        )
+        steps = np.unique(np.round(np.linspace(0, cfg.n_steps, 11)).astype(int))
+        F = np.eye(3) + cfg.dt * A.T
+        z2 = [np.sum((np.linalg.matrix_power(F, max(cfg.n_steps - k - 1, 0)) @ xi1) ** 2)
+              for k in steps]
+        expected = np.trapezoid(z2, x=cfg.dt * steps)
+        for c, sample in zip(scales, rep.samples):
+            assert sample.int_mean_z_square == pytest.approx(c * c * expected, rel=1e-12)
+
+    def test_k_hat_at_least_one_on_benchmark_inputs(self):
+        # Y_T is xi bit for bit, so sup_t E|Y_t|^2 >= E|xi|^2 and every ratio
+        # is >= 1 exactly on the apriori benchmark's seed-1 inputs
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        payload = run_subcommand("apriori", parse_run_config(workloads.apriori_config(1)))
+        assert payload["k_hat"] >= 1.0
+        assert all(sample["ratio"] >= 1.0 for sample in payload["samples"])
+
+
 class TestApproximationConvergence:
     def test_random_system_flags(self):
         rng = np.random.default_rng(123)
@@ -287,6 +344,18 @@ class TestApproximationConvergence:
         assert rep.total_decreasing_in_delta_at_max_n
         assert rep.bsde_decreasing_in_n
         assert rep.bsde_decreasing_in_delta_at_max_n
+        # Y of a deterministic terminal does not depend on C
+        assert all(r.err_bsde == 0.0 for r in rep.rows)
+
+        lin = approximation_convergence(
+            s, LinearInWTTerminal(np.ones(4), 0.5 * np.ones(4)), cfg, [10, 100, 1000],
+            [1e-1, 1e-2, 1e-4], lam=1.0,
+        )
+        gaps = [lin.row(n_, 1e-4).err_bsde for n_ in (10, 100, 1000)]
+        assert gaps[-1] > 0.0
+        assert gaps[-1] < 1e-3 * gaps[0]
+        assert lin.bsde_decreasing_in_n
+        assert lin.bsde_decreasing_in_delta_at_max_n
 
     def test_zero_drift_exact(self):
         s = StochasticSystem(np.zeros((2, 2)), np.ones((2, 1)),

@@ -53,6 +53,19 @@ class TestBrownianSource:
         block = brownian_increments(cfg, 7, 15)
         assert np.array_equal(full[:, 7:15], block)
 
+    def test_increments_are_the_per_step_draws(self):
+        # the stored block and the forward ensemble's increments are exactly
+        # the draws the step noise source yields, column k for step k
+        cfg = SimConfig(T=0.2, dt=0.01, n_paths=50, seed=9)
+        block = brownian_increments(cfg, 3, 17)
+        ens = simulate_forward(scalar_system(), np.ones(1), ZeroControl(), cfg, record_steps=[])
+        assert block.shape == (50, 14)
+        assert ens.increments.shape == (50, cfg.n_steps)
+        for k, dw in sde._noise(cfg, range(cfg.n_steps)):
+            assert np.array_equal(ens.increments[:, k], dw)
+            if 3 <= k < 17:
+                assert np.array_equal(block[:, k - 3], dw)
+
     def test_seed_sensitivity(self):
         cfg1 = SimConfig(T=1.0, dt=0.1, n_paths=16, seed=1)
         cfg2 = SimConfig(T=1.0, dt=0.1, n_paths=16, seed=2)
