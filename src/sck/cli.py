@@ -3,7 +3,7 @@
 Each subcommand is one entry of ``COMMANDS``: a run function that builds its
 payload from the run configuration, and a rows function that flattens that
 payload into the subcommand's CSV table.
-Reports embed the tool version, the fully resolved configuration, the seed
+Reports embed the tool version, the resolved configuration, the seed
 and the wall-clock duration; the numerical results live under ``payload``.
 Re-running the embedded config reproduces the payload bit for bit.  Exit
 status: 0 analysis success (including negative verdicts), 1 input error,
@@ -80,16 +80,10 @@ def _hautus_payload(report: controllability.HautusReport) -> dict:
     return payload
 
 
-def _require_feature(value, name: str):
-    if value is None or (isinstance(value, (list, np.ndarray)) and len(value) == 0):
-        raise ConfigError(f"{name}: required by this subcommand")
-    return value
-
-
 def _terminal_samples(cfg: RunConfig):
-    if cfg.apriori_terminals:
-        return cfg.apriori_terminals
-    base = _require_feature(cfg.terminal, "terminal")
+    if cfg.apriori["terminals"]:
+        return cfg.apriori["terminals"]
+    base = cfg.require("terminal")
     return [base.scaled(c) for c in (1.0, 2.0, 4.0, 8.0, 16.0)]
 
 
@@ -109,7 +103,7 @@ def _check_n1(cfg: RunConfig) -> dict:
 
 def _check_n2(cfg: RunConfig) -> dict:
     system = cfg.make_system()
-    return _hautus(system, _require_feature(cfg.lambda_grid, "lambda_grid"), "N2", cfg)
+    return _hautus(system, cfg.require("lambda_grid"), "N2", cfg)
 
 
 def _invariant_subspace(cfg: RunConfig) -> dict:
@@ -120,7 +114,7 @@ def _invariant_subspace(cfg: RunConfig) -> dict:
 
 def _lambda_set(cfg: RunConfig) -> dict:
     system = cfg.make_system()
-    grid = _require_feature(cfg.lambda_grid, "lambda_grid")
+    grid = cfg.require("lambda_grid")
     return {"points": [_fields(p, *_LAMBDA_POINT)
                        for p in systems.lambda_set(system, grid, cfg.tolerances)]}
 
@@ -142,12 +136,11 @@ def _assemble(cfg: RunConfig) -> dict:
 
 def _ellipticity(cfg: RunConfig) -> dict:
     a_fn, c_fn = cfg.coefficient_fns()
+    alpha, grid_points = cfg.ellipticity["alpha"], cfg.ellipticity["grid_points"]
     ok, margin = galerkin.check_ellipticity(
-        a_fn, c_fn, cfg.ellipticity_alpha, cfg.ellipticity_grid_points,
-        psd_tol=cfg.tolerances.psd_tol,
+        a_fn, c_fn, alpha, grid_points, psd_tol=cfg.tolerances.psd_tol,
     )
-    return dict(zip(_ELLIPTICITY,
-                    (ok, margin, cfg.ellipticity_alpha, cfg.ellipticity_grid_points)))
+    return dict(zip(_ELLIPTICITY, (ok, margin, alpha, grid_points)))
 
 
 def _b_coeffs(cfg: RunConfig) -> dict:
@@ -156,25 +149,25 @@ def _b_coeffs(cfg: RunConfig) -> dict:
 
 
 def _simulate_forward(cfg: RunConfig) -> dict:
-    system, sim = cfg.make_system(), _require_feature(cfg.sim, "sim")
-    x0 = _require_feature(cfg.x0, "x0")
+    system, sim = cfg.make_system(), cfg.require("sim")
+    x0 = cfg.require("x0")
     moments = sde.ensemble_moments(system, x0, cfg.control, sim)
     return dict(zip(("times", "mean", "second_moment"), moments))
 
 
 def _duality(cfg: RunConfig) -> dict:
-    system, sim = cfg.make_system(), _require_feature(cfg.sim, "sim")
-    x0 = _require_feature(cfg.x0, "x0")
-    terminal = _require_feature(cfg.terminal, "terminal")
+    system, sim = cfg.make_system(), cfg.require("sim")
+    x0 = cfg.require("x0")
+    terminal = cfg.require("terminal")
     rep = bsde.duality_check(system, x0, cfg.control, terminal, sim, cfg.n_regression_times)
     return _fields(rep, *_DUALITY)
 
 
 def _girsanov(cfg: RunConfig) -> dict:
-    system, sim = cfg.make_system(), _require_feature(cfg.sim, "sim")
-    x0 = _require_feature(cfg.x0, "x0")
-    lam = _require_feature(cfg.girsanov_lambda, "girsanov.lambda")
-    dts = _require_feature(cfg.girsanov_dt_list, "girsanov.dt_list")
+    system, sim = cfg.make_system(), cfg.require("sim")
+    x0 = cfg.require("x0")
+    lam = cfg.require("girsanov.lambda")
+    dts = cfg.require("girsanov.dt_list")
     points = sde.girsanov_check(system, lam, x0, cfg.control, sim, dts)
     return {
         "lambda": lam,
@@ -184,7 +177,7 @@ def _girsanov(cfg: RunConfig) -> dict:
 
 
 def _apriori(cfg: RunConfig) -> dict:
-    system, sim = cfg.make_system(), _require_feature(cfg.sim, "sim")
+    system, sim = cfg.make_system(), cfg.require("sim")
     rep = bsde.apriori_bound_check(system, _terminal_samples(cfg), sim, cfg.n_regression_times)
     return {
         **_fields(rep, "k_hat", "scale_spread", "scale_ok"),
@@ -193,12 +186,12 @@ def _apriori(cfg: RunConfig) -> dict:
 
 
 def _convergence(cfg: RunConfig) -> dict:
-    system, sim = cfg.make_system(), _require_feature(cfg.sim, "sim")
-    n_list = _require_feature(cfg.convergence_n_list, "convergence.n_list")
-    d_list = _require_feature(cfg.convergence_delta_list, "convergence.delta_list")
+    system, sim = cfg.make_system(), cfg.require("sim")
+    n_list = cfg.require("convergence.n_list")
+    d_list = cfg.require("convergence.delta_list")
     rep = bsde.approximation_convergence(
         system, cfg.terminal, sim, n_list, d_list,
-        lam=cfg.convergence_lambda, n_regression_times=cfg.n_regression_times,
+        lam=cfg.convergence["lambda"], n_regression_times=cfg.n_regression_times,
     )
     return {
         **_fields(rep, "lambda", "n_list", "delta_list", "yosida_decreasing_in_n",

@@ -7,6 +7,11 @@ fixed grammar -- numbers, ``pi``, ``*``, ``^`` and a leading minus, e.g.
 ``"-3*pi^2"`` -- evaluated here, never a general expression engine.
 Validation errors carry the dotted field path of the offending entry.
 
+Every parser maps ``(value, path)`` to ``(parsed value, resolved form)``.
+A JSON object is read by its field table, ``{name: parse}`` for a required
+field or ``{name: (parse, default)}``, and unknown fields are rejected.  The
+top-level sections are the fields of :class:`RunConfig`.
+
 System assembly is deferred to :meth:`RunConfig.make_system` so that
 subcommands that only inspect coefficients (the ellipticity check) can run
 even when assembly itself would be rejected.
@@ -14,9 +19,11 @@ even when assembly itself would be rejected.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -34,428 +41,321 @@ class ConfigError(ValueError):
     """Malformed run configuration; message starts with the field path."""
 
 
-_TOKEN = re.compile(r"\s*(pi|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|\*|\^|-)")
+_ATOM = r"\s*(pi|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+_FACTOR = rf"{_ATOM}(?:\s*\^{_ATOM})?"
+_EXPRESSION = re.compile(rf"(?:\s*-)?{_FACTOR}(?:\s*\*{_FACTOR})*")
 
 
 def parse_pi_expression(text: str) -> float:
     """Evaluate the fixed grammar: ['-'] factor ('*' factor)* with
-    factor = (number | pi) ['^' number]."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ConfigError(f"cannot tokenize {text!r} at position {pos}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    if not tokens:
-        raise ConfigError("empty expression")
-
-    idx = 0
-
-    def take(expected=None):
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ConfigError(f"unexpected end of expression in {text!r}")
-        tok = tokens[idx]
-        if expected is not None and tok != expected:
-            raise ConfigError(f"expected {expected!r}, got {tok!r} in {text!r}")
-        idx += 1
-        return tok
-
-    def atom() -> float:
-        tok = take()
-        if tok == "pi":
-            return math.pi
-        try:
-            return float(tok)
-        except ValueError:
-            raise ConfigError(f"expected a number or 'pi', got {tok!r} in {text!r}") from None
-
-    def factor() -> float:
-        base = atom()
-        if idx < len(tokens) and tokens[idx] == "^":
-            take("^")
-            return base ** atom()
-        return base
-
-    sign = 1.0
-    if tokens[0] == "-":
-        take("-")
-        sign = -1.0
-    value = factor()
-    while idx < len(tokens):
-        take("*")
-        value *= factor()
-    return sign * value
+    factor = (number | pi) ['^' (number | pi)]; whitespace may precede any
+    token."""
+    if not _EXPRESSION.fullmatch(text):
+        raise ConfigError(f"malformed pi-expression {text!r}")
+    value = -1.0 if text.lstrip().startswith("-") else 1.0
+    for factor in re.findall(_FACTOR, text):
+        base, exponent = (math.pi if t == "pi" else float(t) for t in (factor[0], factor[1] or "1"))
+        value *= base ** exponent
+    return value
 
 
-def _number(value: Any, path: str) -> float:
+# ---------------------------------------------------------------------------
+# parsers: parse(value, path) -> (parsed value, resolved form)
+
+def _number(value: Any, path: str) -> tuple[float, float]:
     if isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number, got a boolean")
     if isinstance(value, (int, float)):
         out = float(value)
     elif isinstance(value, str):
-        out = parse_pi_expression(value)
+        try:
+            out = parse_pi_expression(value)
+        except OverflowError:
+            out = math.inf  # a power too large for a double
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     else:
         raise ConfigError(f"{path}: expected a number or pi-expression string")
     if not math.isfinite(out):
         raise ConfigError(f"{path}: value is not finite")
-    return out
+    return out, out
 
 
-def _require(d: Any, key: str, path: str) -> Any:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    if key not in d:
-        raise ConfigError(f"{path}.{key}: missing required field")
-    return d[key]
-
-
-def _int(value: Any, path: str) -> int:
+def _int(value: Any, path: str) -> tuple[int, int]:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer")
-    return value
+    return value, value
 
 
-def _vector(value: Any, path: str) -> list[float]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected an array of numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+def _array(item: Callable, what: str) -> Callable:
+    """Parser of a JSON array whose entries ``item`` reads."""
+    def parse(value: Any, path: str):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected an array of {what}")
+        pairs = [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [v for v, _ in pairs], [r for _, r in pairs]
+    return parse
 
 
-def _matrix(value: Any, path: str) -> list[list[float]]:
+_vector = _array(_number, "numbers")
+
+
+def _matrix(value: Any, path: str):
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a non-empty row-major matrix")
     rows = []
-    width = None
     for i, row in enumerate(value):
-        r = _vector(row, f"{path}[{i}]")
-        if width is None:
-            width = len(r)
-        elif len(r) != width:
+        rows.append(_vector(row, f"{path}[{i}]")[0])
+        if len(rows[i]) != len(rows[0]):
             raise ConfigError(f"{path}[{i}]: ragged matrix rows")
-        rows.append(r)
-    return rows
+    return rows, rows
 
 
-def _coefficient(spec: Any, path: str) -> Callable:
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return galerkin.constant(float(spec))
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected a coefficient object or a number")
-    kind = _require(spec, "type", path)
-    if kind == "constant":
-        return galerkin.constant(_number(_require(spec, "value", path), f"{path}.value"))
-    if kind == "polynomial":
-        return galerkin.polynomial(_vector(_require(spec, "coeffs", path), f"{path}.coeffs"))
-    if kind == "trigonometric":
-        return galerkin.trigonometric(
-            offset=_number(spec.get("offset", 0.0), f"{path}.offset"),
-            sin_coeffs=_vector(spec.get("sin", []), f"{path}.sin"),
-            cos_coeffs=_vector(spec.get("cos", []), f"{path}.cos"),
-        )
-    raise ConfigError(f"{path}.type: unknown coefficient type {kind!r}")
+def _pair(value: Any, path: str):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: expected [lambda, alpha]")
+    return _vector(value, path)
 
 
-def _parse_system(spec: Any, path: str) -> tuple[str, dict, dict]:
-    """Validate the system source; returns (kind, parts, resolved-fragment)."""
+def _x0(value: Any, path: str):
+    x0, resolved = _vector(value, path)
+    return np.array(x0), resolved
+
+
+def _grid_size(value: Any, path: str):
+    if _int(value, path)[0] < 2:
+        raise ConfigError(f"{path}: must be >= 2")
+    return value, value
+
+
+def _format(value: Any, path: str):
+    if value not in FORMATS:
+        raise ConfigError(f"{path}: must be one of {FORMATS}, got {value!r}")
+    return value, value
+
+
+def _string(value: Any, path: str):
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
+    return value, value
+
+
+def _object(fields: dict, spec: Any, path: str) -> tuple[dict, dict]:
+    """Parser of a JSON object by its field table.  An absent or null field
+    takes its default (``...``: required); a None value has no resolved form.
+    The empty path is the top level."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object")
-    sources = [k for k in ("matrices", "example2", "divform1d") if k in spec]
+    unknown = set(spec) - set(fields)
+    if unknown:
+        raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
+    values, resolved = {}, {}
+    for name, entry in fields.items():
+        parse, default = entry if isinstance(entry, tuple) else (entry, ...)
+        field_path = f"{path}.{name}" if path else name
+        value = spec.get(name)
+        if value is None:
+            value = default(values) if callable(default) else default
+        if value is ...:
+            raise ConfigError(f"{field_path}: missing required field")
+        values[name] = None
+        if value is not None:
+            values[name], resolved[name] = parse(value, field_path)
+    return values, resolved
+
+
+def _built(fields: dict, build: Callable) -> Callable:
+    """Parser of an object whose field values are passed to ``build``."""
+    def parse(spec: Any, path: str):
+        values, resolved = _object(fields, spec, path)
+        try:
+            return build(**values), resolved
+        except DomainError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return parse
+
+
+def _dataclass(cls) -> Callable:
+    """Parser of a section whose fields, with their defaults, are those of the
+    dataclass ``cls``; each is a number or an integer by annotation."""
+    leaf = {"float": _number, "int": _int}
+    return _built({
+        f.name: (leaf[f.type], ... if f.default is dataclasses.MISSING else f.default)
+        for f in dataclasses.fields(cls)
+    }, cls)
+
+
+def _kinds(noun: str, kinds: dict) -> Callable:
+    """Parser of a tagged union: ``type`` names the kind, and the kind's
+    ``(fields, build)`` entry reads the other fields.  The resolved form is
+    the object as written."""
+    kinds = {kind: _built(*entry) for kind, entry in kinds.items()}
+
+    def parse(spec: Any, path: str):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{path}: expected an object")
+        kind = spec.get("type")
+        if kind is None:
+            raise ConfigError(f"{path}.type: missing required field")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{path}.type: unknown {noun} type {kind!r}")
+        rest = {k: v for k, v in spec.items() if k != "type"}
+        return kinds[kind](rest, path)[0], spec
+    return parse
+
+
+_CONTROL = _kinds("control", {
+    "zero": ({}, sde.ZeroControl),
+    "constant": ({"u": _vector}, sde.ConstantControl),
+    "piecewise": ({"values": _matrix}, sde.PiecewiseConstantControl),
+    "feedback": ({"K": _matrix}, sde.FeedbackControl),
+})
+
+_TERMINAL = _kinds("terminal", {
+    "deterministic": ({"xi": _vector}, bsde.DeterministicTerminal),
+    "linear_in_wt": ({"xi0": _vector, "xi1": _vector}, bsde.LinearInWTTerminal),
+})
+
+_COEFFICIENT = _kinds("coefficient", {
+    "constant": ({"value": _number}, galerkin.constant),
+    "polynomial": ({"coeffs": _vector}, galerkin.polynomial),
+    "trigonometric": (
+        {"offset": (_number, 0.0), "sin": (_vector, []), "cos": (_vector, [])},
+        lambda offset, sin, cos: galerkin.trigonometric(offset, sin, cos),
+    ),
+})
+
+
+def _coefficient(spec: Any, path: str):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        return galerkin.constant(float(spec)), spec
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected a coefficient object or a number")
+    return _COEFFICIENT(spec, path)
+
+
+# system source -> (fields, build(tolerances, **parts)); the source is named
+# by its key, and build runs only in RunConfig.make_system
+_SYSTEMS = {
+    "matrices": (
+        {"A": _matrix, "B": _matrix, "gamma": (_number, 0.0),
+         "C": (_matrix, None), "C1": (_matrix, None), "C2": (_matrix, None)},
+        lambda tolerances, **parts: StochasticSystem(**parts),
+    ),
+    "example2": (
+        {"N": _int, "b_coeffs": _vector},
+        lambda tolerances, N, b_coeffs: galerkin.assemble_example2(N, b_coeffs),
+    ),
+    "divform1d": (
+        {"N": _int, "quad_order": (_int, lambda parts: max(2 * parts["N"], 16)),
+         "a": _coefficient, "c": _coefficient, "b": _coefficient},
+        lambda tolerances, N, quad_order, a, c, b: galerkin.assemble_divform_1d(
+            galerkin.HeatSystemSpec(N=N, a_fn=a, c_fn=c, b_fn=b, quad_order=quad_order),
+            tolerances,
+        ),
+    ),
+}
+
+
+def _system(spec: Any, path: str):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path}: expected an object")
+    sources = [k for k in _SYSTEMS if k in spec]
     if len(sources) != 1:
         raise ConfigError(
             f"{path}: exactly one of matrices/example2/divform1d required, got {sources}"
         )
     kind = sources[0]
-    body = spec[kind]
-    p = f"{path}.{kind}"
-    if kind == "matrices":
-        parts = {
-            "A": _matrix(_require(body, "A", p), f"{p}.A"),
-            "B": _matrix(_require(body, "B", p), f"{p}.B"),
-            "gamma": _number(body.get("gamma", 0.0), f"{p}.gamma"),
-        }
-        if "C" in body:
-            if "C1" in body or "C2" in body:
-                raise ConfigError(f"{p}: give either C or the C1/C2 split")
-            parts["C"] = _matrix(body["C"], f"{p}.C")
-        else:
-            if "C1" in body:
-                parts["C1"] = _matrix(body["C1"], f"{p}.C1")
-            if "C2" in body:
-                parts["C2"] = _matrix(body["C2"], f"{p}.C2")
-        resolved = {kind: dict(parts)}
-    elif kind == "example2":
-        parts = {
-            "N": _int(_require(body, "N", p), f"{p}.N"),
-            "b_coeffs": _vector(_require(body, "b_coeffs", p), f"{p}.b_coeffs"),
-        }
-        resolved = {kind: dict(parts)}
-    else:
-        N = _int(_require(body, "N", p), f"{p}.N")
-        parts = {
-            "N": N,
-            "quad_order": _int(body.get("quad_order", max(2 * N, 16)), f"{p}.quad_order"),
-            "a_fn": _coefficient(_require(body, "a", p), f"{p}.a"),
-            "c_fn": _coefficient(_require(body, "c", p), f"{p}.c"),
-            "b_fn": _coefficient(_require(body, "b", p), f"{p}.b"),
-        }
-        resolved = {kind: {
-            "N": N, "quad_order": parts["quad_order"],
-            "a": body["a"], "c": body["c"], "b": body["b"],
-        }}
-    return kind, parts, resolved
+    values, resolved = _object({kind: partial(_object, _SYSTEMS[kind][0])}, spec, path)
+    parts = values[kind]
+    if kind == "matrices" and parts["C"] is not None and (
+        parts["C1"] is not None or parts["C2"] is not None
+    ):
+        raise ConfigError(f"{path}.{kind}: give either C or the C1/C2 split")
+    return (kind, parts), resolved
 
 
-def _build_tolerances(spec: Any, path: str) -> ToleranceConfig:
-    if spec is None:
-        return ToleranceConfig()
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object")
-    known = ("psd_tol", "rank_tol", "zero_tol", "eps_a")
-    unknown = set(spec) - set(known)
-    if unknown:
-        raise ConfigError(f"{path}: unknown tolerance fields {sorted(unknown)}")
-    kwargs = {k: _number(spec[k], f"{path}.{k}") for k in known if k in spec}
-    try:
-        return ToleranceConfig(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _build_sim(spec: Any, path: str) -> Optional[sde.SimConfig]:
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}: expected an object")
-    try:
-        return sde.SimConfig(
-            T=_number(_require(spec, "T", path), f"{path}.T"),
-            dt=_number(_require(spec, "dt", path), f"{path}.dt"),
-            n_paths=_int(_require(spec, "n_paths", path), f"{path}.n_paths"),
-            seed=_int(_require(spec, "seed", path), f"{path}.seed"),
-            regression_degree=_int(spec.get("regression_degree", 1), f"{path}.regression_degree"),
-        )
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _build_control(spec: Any, path: str):
-    if spec is None:
-        return sde.ZeroControl()
-    kind = _require(spec, "type", path)
-    try:
-        if kind == "zero":
-            return sde.ZeroControl()
-        if kind == "constant":
-            return sde.ConstantControl(np.array(_vector(_require(spec, "u", path), f"{path}.u")))
-        if kind == "piecewise":
-            return sde.PiecewiseConstantControl(
-                np.array(_matrix(_require(spec, "values", path), f"{path}.values"))
-            )
-        if kind == "feedback":
-            return sde.FeedbackControl(np.array(_matrix(_require(spec, "K", path), f"{path}.K")))
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.type: unknown control type {kind!r}")
-
-
-def _build_terminal(spec: Any, path: str):
-    if spec is None:
-        return None
-    kind = _require(spec, "type", path)
-    try:
-        if kind == "deterministic":
-            return bsde.DeterministicTerminal(
-                np.array(_vector(_require(spec, "xi", path), f"{path}.xi"))
-            )
-        if kind == "linear_in_wt":
-            return bsde.LinearInWTTerminal(
-                np.array(_vector(_require(spec, "xi0", path), f"{path}.xi0")),
-                np.array(_vector(_require(spec, "xi1", path), f"{path}.xi1")),
-            )
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.type: unknown terminal type {kind!r}")
+def _section(parse: Callable, default: Any = None, shown: bool = False):
+    """A RunConfig field read from the top-level key of the same name.  The
+    resolved config has the section if it is given, or if ``shown``."""
+    return field(metadata={"parse": parse, "default": default, "shown": shown})
 
 
 @dataclass
 class RunConfig:
     """Fully validated run configuration plus its normalized JSON form.
 
-    ``resolved`` re-serializes to an equivalent document: pi-expressions are
-    already evaluated and defaults filled in, so re-running it reproduces a
-    report's numerical payload exactly.
+    Each field is one top-level section, in the order of ``resolved``.
+    ``resolved`` re-serializes to an equivalent document: defaults are filled
+    in and pi-expressions evaluated, except in ``control``, ``terminal``,
+    ``apriori.terminals`` and the ``divform1d`` coefficients, which are
+    copied as written.  Re-running it reproduces a report's numerical
+    payload exactly.
     """
 
-    system_kind: str
-    system_parts: dict
-    tolerances: ToleranceConfig
-    sim: Optional[sde.SimConfig]
-    lambda_grid: list[float]
-    x0: Optional[np.ndarray]
-    control: Any
-    terminal: Any
-    explicit_points: list[tuple[float, float]]
-    girsanov_lambda: Optional[float]
-    girsanov_dt_list: list[float]
-    convergence_n_list: list[int]
-    convergence_delta_list: list[float]
-    convergence_lambda: float
-    ellipticity_alpha: float
-    ellipticity_grid_points: int
-    apriori_terminals: list
-    n_regression_times: int
-    output_path: Optional[str]
-    format: str
+    system: tuple[str, dict] = _section(_system, ..., shown=True)
+    tolerances: ToleranceConfig = _section(_dataclass(ToleranceConfig), {}, shown=True)
+    lambda_grid: list[float] = _section(_vector, [], shown=True)
+    format: str = _section(_format, "json", shown=True)
+    n_regression_times: int = _section(_grid_size, 11, shown=True)
+    sim: Optional[sde.SimConfig] = _section(_dataclass(sde.SimConfig))
+    x0: Optional[np.ndarray] = _section(_x0)
+    control: Any = _section(_CONTROL, {"type": "zero"})
+    terminal: Any = _section(_TERMINAL)
+    explicit_points: list[list[float]] = _section(_array(_pair, "[lambda, alpha] pairs"), [])
+    girsanov: dict = _section(
+        partial(_object, {"lambda": (_number, None), "dt_list": (_vector, [])}), {})
+    convergence: dict = _section(partial(_object, {
+        "n_list": (_array(_int, "integers"), []),
+        "delta_list": (_vector, []),
+        "lambda": (_number, 1.0),
+    }), {})
+    ellipticity: dict = _section(
+        partial(_object, {"alpha": (_number, 0.6), "grid_points": (_int, 1000)}), {})
+    apriori: dict = _section(
+        partial(_object, {"terminals": (_array(_TERMINAL, "terminal objects"), [])}), {})
+    output_path: Optional[str] = _section(_string)
     resolved: dict = field(repr=False, default_factory=dict)
 
     def make_system(self) -> StochasticSystem:
         """Assemble the configured system (deferred so coefficient-only
         subcommands can run even if assembly would be rejected)."""
-        p = self.system_parts
-        if self.system_kind == "matrices":
-            return StochasticSystem(
-                p["A"], p["B"], C1=p.get("C1"), C2=p.get("C2"),
-                C=p.get("C"), gamma=p["gamma"],
-            )
-        if self.system_kind == "example2":
-            return galerkin.assemble_example2(p["N"], p["b_coeffs"])
-        spec = galerkin.HeatSystemSpec(
-            N=p["N"], a_fn=p["a_fn"], c_fn=p["c_fn"], b_fn=p["b_fn"],
-            quad_order=p["quad_order"],
-        )
-        return galerkin.assemble_divform_1d(spec, self.tolerances)
+        kind, parts = self.system
+        return _SYSTEMS[kind][1](self.tolerances, **parts)
 
     def coefficient_fns(self) -> tuple[Callable, Callable]:
         """(a, c) coefficient callables for the ellipticity check."""
-        if self.system_kind != "divform1d":
+        kind, parts = self.system
+        if kind != "divform1d":
             raise ConfigError(
                 "ellipticity: requires a divform1d system with named coefficients"
             )
-        return self.system_parts["a_fn"], self.system_parts["c_fn"]
+        return parts["a"], parts["c"]
+
+    def require(self, path: str) -> Any:
+        """The value of a section, or of ``section.field``, that a subcommand
+        needs; ConfigError when it is absent or empty."""
+        section, _, key = path.partition(".")
+        value = getattr(self, section)[key] if key else getattr(self, section)
+        if value is None or (isinstance(value, (list, np.ndarray)) and len(value) == 0):
+            raise ConfigError(f"{path}: required by this subcommand")
+        return value
 
 
-_KNOWN_KEYS = {
-    "system", "tolerances", "sim", "lambda_grid", "x0", "control", "terminal",
-    "explicit_points", "girsanov", "convergence", "ellipticity", "apriori",
-    "n_regression_times", "output_path", "format",
-}
+_SECTIONS = [f for f in dataclasses.fields(RunConfig) if f.metadata]
 
 
 def parse_run_config(raw: Any) -> RunConfig:
-    """Validate a decoded JSON document into a RunConfig."""
+    """Validate a decoded JSON document into a RunConfig: one pass over the
+    section table, in resolved order."""
     if not isinstance(raw, dict):
         raise ConfigError("config: top level must be an object")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - {f.name for f in _SECTIONS}
     if unknown:
         raise ConfigError(f"config: unknown top-level fields {sorted(unknown)}")
-
-    kind, parts, system_resolved = _parse_system(_require(raw, "system", "config"), "system")
-    tolerances = _build_tolerances(raw.get("tolerances"), "tolerances")
-    sim = _build_sim(raw.get("sim"), "sim")
-    lambda_grid = _vector(raw.get("lambda_grid", []), "lambda_grid")
-
-    x0 = None
-    if raw.get("x0") is not None:
-        x0 = np.array(_vector(raw["x0"], "x0"))
-
-    control = _build_control(raw.get("control"), "control")
-    terminal = _build_terminal(raw.get("terminal"), "terminal")
-
-    explicit_points = []
-    for i, pair in enumerate(raw.get("explicit_points", [])):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"explicit_points[{i}]: expected [lambda, alpha]")
-        explicit_points.append(
-            (_number(pair[0], f"explicit_points[{i}][0]"),
-             _number(pair[1], f"explicit_points[{i}][1]"))
-        )
-
-    gir = raw.get("girsanov") or {}
-    gir_lambda = _number(gir["lambda"], "girsanov.lambda") if "lambda" in gir else None
-    gir_dts = _vector(gir.get("dt_list", []), "girsanov.dt_list")
-
-    conv = raw.get("convergence") or {}
-    conv_n = [_int(v, f"convergence.n_list[{i}]") for i, v in enumerate(conv.get("n_list", []))]
-    conv_d = _vector(conv.get("delta_list", []), "convergence.delta_list")
-    conv_lam = _number(conv.get("lambda", 1.0), "convergence.lambda")
-
-    ell = raw.get("ellipticity") or {}
-    ell_alpha = _number(ell.get("alpha", 0.6), "ellipticity.alpha")
-    ell_grid = _int(ell.get("grid_points", 1000), "ellipticity.grid_points")
-
-    apriori_raw = (raw.get("apriori") or {}).get("terminals", [])
-    apriori_terminals = [
-        _build_terminal(t, f"apriori.terminals[{i}]") for i, t in enumerate(apriori_raw)
-    ]
-
-    n_reg = _int(raw.get("n_regression_times", 11), "n_regression_times")
-    if n_reg < 2:
-        raise ConfigError("n_regression_times: must be >= 2")
-
-    fmt = raw.get("format", "json")
-    if fmt not in FORMATS:
-        raise ConfigError(f"format: must be one of {FORMATS}, got {fmt!r}")
-    output_path = raw.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("output_path: expected a string")
-
-    resolved = {
-        "system": system_resolved,
-        "tolerances": {
-            "psd_tol": tolerances.psd_tol, "rank_tol": tolerances.rank_tol,
-            "zero_tol": tolerances.zero_tol, "eps_a": tolerances.eps_a,
-        },
-        "lambda_grid": lambda_grid,
-        "format": fmt,
-        "n_regression_times": n_reg,
-    }
-    if sim is not None:
-        resolved["sim"] = {
-            "T": sim.T, "dt": sim.dt, "n_paths": sim.n_paths,
-            "seed": sim.seed, "regression_degree": sim.regression_degree,
-        }
-    if x0 is not None:
-        resolved["x0"] = x0.tolist()
-    if raw.get("control") is not None:
-        resolved["control"] = raw["control"]
-    if raw.get("terminal") is not None:
-        resolved["terminal"] = raw["terminal"]
-    if explicit_points:
-        resolved["explicit_points"] = [[a, b] for a, b in explicit_points]
-    if gir_lambda is not None or gir_dts:
-        resolved["girsanov"] = {"lambda": gir_lambda, "dt_list": gir_dts}
-    if conv_n or conv_d:
-        resolved["convergence"] = {"n_list": conv_n, "delta_list": conv_d, "lambda": conv_lam}
-    if raw.get("ellipticity") is not None:
-        resolved["ellipticity"] = {"alpha": ell_alpha, "grid_points": ell_grid}
-    if apriori_raw:
-        resolved["apriori"] = {"terminals": apriori_raw}
-    if output_path is not None:
-        resolved["output_path"] = output_path
-
-    return RunConfig(
-        system_kind=kind,
-        system_parts=parts,
-        tolerances=tolerances,
-        sim=sim,
-        lambda_grid=lambda_grid,
-        x0=x0,
-        control=control,
-        terminal=terminal,
-        explicit_points=explicit_points,
-        girsanov_lambda=gir_lambda,
-        girsanov_dt_list=gir_dts,
-        convergence_n_list=conv_n,
-        convergence_delta_list=conv_d,
-        convergence_lambda=conv_lam,
-        ellipticity_alpha=ell_alpha,
-        ellipticity_grid_points=ell_grid,
-        apriori_terminals=apriori_terminals,
-        n_regression_times=n_reg,
-        output_path=output_path,
-        format=fmt,
-        resolved=resolved,
-    )
+    if "system" not in raw:
+        raise ConfigError("config.system: missing required field")
+    values, resolved = _object(
+        {f.name: (f.metadata["parse"], f.metadata["default"]) for f in _SECTIONS}, raw, "")
+    shown = {f.name for f in _SECTIONS if f.metadata["shown"] or raw.get(f.name) is not None}
+    return RunConfig(**values, resolved={k: v for k, v in resolved.items() if k in shown})

@@ -22,7 +22,9 @@ from sck import (
     simulate_flow,
     simulate_forward,
     solve_dual_bsde,
+    yosida,
 )
+from sck import bsde as bsde_module
 from sck.cli import run_subcommand
 from sck.config import parse_run_config
 from sck.exceptions import DimensionError, DomainError
@@ -330,7 +332,11 @@ class TestAprioriBound:
 
 
 class TestApproximationConvergence:
-    def test_random_system_flags(self):
+    def test_random_system_flags(self, monkeypatch):
+        draws = []
+        real_noise = bsde_module._noise
+        monkeypatch.setattr(bsde_module, "_noise",
+                            lambda *args: draws.append(args) or real_noise(*args))
         rng = np.random.default_rng(123)
         A, B, C = random_dissipative_system(rng, 4, c_scale=1.0)
         s = StochasticSystem(A, B, C=C)
@@ -347,15 +353,24 @@ class TestApproximationConvergence:
         # Y of a deterministic terminal does not depend on C
         assert all(r.err_bsde == 0.0 for r in rep.rows)
 
+        linear = LinearInWTTerminal(np.ones(4), 0.5 * np.ones(4))
         lin = approximation_convergence(
-            s, LinearInWTTerminal(np.ones(4), 0.5 * np.ones(4)), cfg, [10, 100, 1000],
-            [1e-1, 1e-2, 1e-4], lam=1.0,
+            s, linear, cfg, [10, 100, 1000], [1e-1, 1e-2, 1e-4], lam=1.0,
         )
         gaps = [lin.row(n_, 1e-4).err_bsde for n_ in (10, 100, 1000)]
         assert gaps[-1] > 0.0
         assert gaps[-1] < 1e-3 * gaps[0]
         assert lin.bsde_decreasing_in_n
         assert lin.bsde_decreasing_in_delta_at_max_n
+        # the gaps come from the coefficient recursions, without noise, and
+        # equal the path mean of |Y_mod - Y|^2 on sampled solutions
+        assert draws == []
+        E_d = scipy.linalg.expm(1e-4 * A)
+        J, _ = yosida(A, 10)
+        s_mod = StochasticSystem(A, B, C=J.T @ E_d @ C @ E_d @ J)
+        diff = solve_dual_bsde(s_mod, linear, cfg).Y - solve_dual_bsde(s, linear, cfg).Y
+        sampled = float(np.max(np.mean(np.sum(diff * diff, axis=2), axis=1)))
+        assert gaps[0] == pytest.approx(sampled, rel=1e-9)
 
     def test_zero_drift_exact(self):
         s = StochasticSystem(np.zeros((2, 2)), np.ones((2, 1)),

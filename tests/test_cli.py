@@ -77,6 +77,12 @@ class TestParseRunConfig:
         cfg = parse_run_config(dict(EXAMPLE2, lambda_grid=["-3*pi^2", 0]))
         assert cfg.lambda_grid[0] == pytest.approx(-3 * PI2)
 
+    def test_pi_expression_errors_name_the_field(self):
+        with pytest.raises(ConfigError, match=r"^lambda_grid\[1\]: malformed pi-expression"):
+            parse_run_config(dict(EXAMPLE2, lambda_grid=[0, "pi+1"]))
+        with pytest.raises(ConfigError, match=r"^lambda_grid\[0\]: value is not finite"):
+            parse_run_config(dict(EXAMPLE2, lambda_grid=["10^400"]))
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown top-level"):
             parse_run_config(dict(EXAMPLE2, bogus=1))
@@ -90,6 +96,98 @@ class TestParseRunConfig:
         cfg = parse_run_config(raw)
         again = parse_run_config(json.loads(json.dumps(cfg.resolved)))
         assert again.resolved == cfg.resolved
+
+    def test_resolved_form_is_pinned(self):
+        # key order matters: reports serialize resolved in this order
+        linear = {"type": "linear_in_wt", "xi0": [1, 0, 0, 0], "xi1": ["pi", 0, 0, 0]}
+        coefficients = {"a": {"type": "constant", "value": "pi"},
+                        "c": {"type": "trigonometric", "sin": [0.2]}, "b": 1}
+        cfg = parse_run_config({
+            "output_path": "r.json",
+            "apriori": {"terminals": [{"type": "deterministic", "xi": ["pi", 0, 0, 0]}]},
+            "ellipticity": {},
+            "convergence": {"n_list": [10, 100], "delta_list": [0.1, 0.01]},
+            "girsanov": {"lambda": "-pi", "dt_list": [0.1, 0.05]},
+            "explicit_points": [["-3*pi^2", -1]],
+            "terminal": linear,
+            "control": {"type": "constant", "u": ["2*pi"]},
+            "x0": ["pi", 1, 0, 0],
+            "sim": {"T": 0.5, "dt": "0.1", "n_paths": 10, "seed": 3},
+            "lambda_grid": ["-3*pi^2", 0],
+            "tolerances": {"rank_tol": 1e-8},
+            "system": {"divform1d": {"N": 4, **coefficients}},
+        })
+        expected = {
+            "system": {"divform1d": {"N": 4, "quad_order": 16, **coefficients}},
+            "tolerances": {"psd_tol": 1e-10, "rank_tol": 1e-8, "zero_tol": 1e-9, "eps_a": 1e-6},
+            "lambda_grid": [-(3 * PI2), 0.0],
+            "format": "json",
+            "n_regression_times": 11,
+            "sim": {"T": 0.5, "dt": 0.1, "n_paths": 10, "seed": 3, "regression_degree": 1},
+            "x0": [math.pi, 1.0, 0.0, 0.0],
+            "control": {"type": "constant", "u": ["2*pi"]},
+            "terminal": linear,
+            "explicit_points": [[-(3 * PI2), -1.0]],
+            "girsanov": {"lambda": -math.pi, "dt_list": [0.1, 0.05]},
+            "convergence": {"n_list": [10, 100], "delta_list": [0.1, 0.01], "lambda": 1.0},
+            "ellipticity": {"alpha": 0.6, "grid_points": 1000},
+            "apriori": {"terminals": [{"type": "deterministic", "xi": ["pi", 0, 0, 0]}]},
+            "output_path": "r.json",
+        }
+        assert cfg.resolved == expected
+        assert json.dumps(cfg.resolved) == json.dumps(expected)
+
+    def test_absent_sections_leave_no_key(self):
+        cfg = parse_run_config(EXAMPLE2)
+        assert list(cfg.resolved) == [
+            "system", "tolerances", "lambda_grid", "format", "n_regression_times"]
+        matrices = parse_run_config(
+            {"system": {"matrices": {"A": [[-1]], "B": [[1]], "C": [[0.5]]}}})
+        expected = {"matrices": {"A": [[-1.0]], "B": [[1.0]], "gamma": 0.0, "C": [[0.5]]}}
+        assert json.dumps(matrices.resolved["system"]) == json.dumps(expected)
+
+    def test_given_sections_appear_and_null_is_absent(self):
+        cfg = parse_run_config(dict(EXAMPLE2, explicit_points=[], girsanov={"dt_list": [0.1]},
+                                    apriori={}, x0=None, format=None))
+        assert cfg.resolved["explicit_points"] == []
+        assert cfg.resolved["girsanov"] == {"dt_list": [0.1]}
+        assert cfg.resolved["apriori"] == {"terminals": []}
+        assert "x0" not in cfg.resolved and cfg.x0 is None
+        assert cfg.format == cfg.resolved["format"] == "json"
+
+    @pytest.mark.parametrize("section,value,message", [
+        ("girsanov", [1], "girsanov: expected an object"),
+        ("girsanov", {"lambda": 1.0, "dt": [0.1]}, "girsanov: unknown fields ['dt']"),
+        ("convergence", {"lamda": 2.0}, "convergence: unknown fields ['lamda']"),
+        ("convergence", {"n_list": 5}, "convergence.n_list: expected an array"),
+        ("ellipticity", [0.6], "ellipticity: expected an object"),
+        ("ellipticity", {"alpah": 0.6}, "ellipticity: unknown fields ['alpah']"),
+        ("apriori", "terminals", "apriori: expected an object"),
+        ("apriori", {"terminals": 4}, "apriori.terminals: expected an array"),
+        ("apriori", {"terminals": [{"type": "deterministic", "xi": [1, 0, 0, 0], "eta": 1}]},
+         "apriori.terminals[0]: unknown fields ['eta']"),
+        ("explicit_points", 5, "explicit_points: expected an array"),
+        ("sim", dict(SMALL_SIM, paths=3), "sim: unknown fields ['paths']"),
+        ("control", {"type": "zero", "u": [1.0]}, "control: unknown fields ['u']"),
+        ("terminal", {"type": "deterministic", "xi": [1, 0, 0, 0], "eta": 1},
+         "terminal: unknown fields ['eta']"),
+        ("system", {"example2": {"N": 4, "b_coeffs": [1, 1, 1, 1], "M": 1}},
+         "system.example2: unknown fields ['M']"),
+        ("system", {"matrices": {"A": [[-1]], "B": [[1]], "D": [[1]]}},
+         "system.matrices: unknown fields ['D']"),
+        ("system", {"divform1d": {"N": 4, "a": {"type": "constant", "value": 1, "v": 2},
+                                  "c": 0, "b": 1}},
+         "system.divform1d.a: unknown fields ['v']"),
+        ("system", {"example2": {"N": 4, "b_coeffs": [1, 1, 1, 1]}, "extra": 1},
+         "system: unknown fields ['extra']"),
+    ])
+    def test_malformed_section_is_rejected(self, tmp_path, capsys, section, value, message):
+        raw = dict(EXAMPLE2, **{section: value})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_run_config(raw)
+        code, text = run_cli(tmp_path, "check-n1", raw)
+        assert code == 1 and text is None
+        assert capsys.readouterr().err.startswith(f"sck: input error: {message}")
 
 
 class TestVerdictCommand:
