@@ -243,18 +243,20 @@ def duality_check(
     steps = _regression_steps(cfg, n_regression_times)
 
     # the integrand <B u, Y> is taken at each reporting-grid step as the sweep
-    # passes it, so no forward states are stored
-    K = cfg.n_steps
-    integrand = np.zeros((len(steps), cfg.n_paths))
-    j = 0
+    # passes it and summed by the trapezoid rule in grid order, which is
+    # np.trapezoid(..., axis=0) term for term; no forward states are stored
+    integral, j = 0.0, 0
     for k, _, X in sweep:
         if k == steps[j]:
-            bu = _bu_term(control, sys.B, min(k, K - 1), X)
-            if bu is not None:
-                integrand[j] = np.einsum("pi,pi->p", np.broadcast_to(bu, X.shape), sol.Y[j])
+            bu = _bu_term(control, sys.B, min(k, cfg.n_steps - 1), X.T)
+            cur = 0.0 if bu is None else np.einsum(
+                "pi,pi->p", np.broadcast_to(bu.T, X.shape), sol.Y[j])
+            if j:
+                integral += (sol.times[j] - sol.times[j - 1]) * (cur + prev) / 2.0
+            prev = cur
             j += 1
     lhs_samples = np.einsum("pi,pi->p", X, sol.Y[-1])
-    rhs_samples = sol.Y[0] @ as_vector(x0, "x0") + np.trapezoid(integrand, x=sol.times, axis=0)
+    rhs_samples = sol.Y[0] @ as_vector(x0, "x0") + integral
 
     lhs = float(np.mean(lhs_samples))
     rhs = float(np.mean(rhs_samples))

@@ -87,6 +87,26 @@ def _terminal_samples(cfg: RunConfig):
     return [base.scaled(c) for c in (1.0, 2.0, 4.0, 8.0, 16.0)]
 
 
+# shape of each configured array by field name: system sizes n, m and steps K
+_SHAPES = {"x0": "n", "u": "m", "values": "Km", "K": "mn", "xi": "n", "xi0": "n", "xi1": "n"}
+
+
+def _simulation(cfg: RunConfig, rows: bool = True):
+    """The assembled system and the sim section, once the given x0, control and
+    terminal fit them (else a ConfigError naming the field); K only if ``rows``."""
+    system, sim = cfg.make_system(), cfg.require("sim")
+    sizes = {"n": system.n, "m": system.m, "K": sim.n_steps if rows else None}
+    arrays = {} if cfg.x0 is None else {"x0": cfg.x0}
+    for path, spec in (("control", cfg.control), ("terminal", cfg.terminal)):
+        arrays.update((f"{path}.{k}", v) for k, v in (vars(spec) if spec else {}).items())
+    for path, value in arrays.items():
+        dims = _SHAPES[path.rpartition(".")[2]]
+        want = tuple(got if sizes[d] is None else sizes[d] for d, got in zip(dims, value.shape))
+        if value.shape != want:
+            raise ConfigError(f"{path}: expected shape {want} for ({', '.join(dims)}), got {value.shape}")
+    return system, sim
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each run(cfg) builds the payload, assembling the system itself
 # so that a missing section is reported only after assembly succeeded
@@ -149,14 +169,14 @@ def _b_coeffs(cfg: RunConfig) -> dict:
 
 
 def _simulate_forward(cfg: RunConfig) -> dict:
-    system, sim = cfg.make_system(), cfg.require("sim")
+    system, sim = _simulation(cfg)
     x0 = cfg.require("x0")
     moments = sde.ensemble_moments(system, x0, cfg.control, sim)
     return dict(zip(("times", "mean", "second_moment"), moments))
 
 
 def _duality(cfg: RunConfig) -> dict:
-    system, sim = cfg.make_system(), cfg.require("sim")
+    system, sim = _simulation(cfg)
     x0 = cfg.require("x0")
     terminal = cfg.require("terminal")
     rep = bsde.duality_check(system, x0, cfg.control, terminal, sim, cfg.n_regression_times)
@@ -164,7 +184,7 @@ def _duality(cfg: RunConfig) -> dict:
 
 
 def _girsanov(cfg: RunConfig) -> dict:
-    system, sim = cfg.make_system(), cfg.require("sim")
+    system, sim = _simulation(cfg, rows=False)  # each dt has its own grid
     x0 = cfg.require("x0")
     lam = cfg.require("girsanov.lambda")
     dts = cfg.require("girsanov.dt_list")
@@ -177,7 +197,7 @@ def _girsanov(cfg: RunConfig) -> dict:
 
 
 def _apriori(cfg: RunConfig) -> dict:
-    system, sim = cfg.make_system(), cfg.require("sim")
+    system, sim = _simulation(cfg)
     rep = bsde.apriori_bound_check(system, _terminal_samples(cfg), sim, cfg.n_regression_times)
     return {
         **_fields(rep, "k_hat", "scale_spread", "scale_ok"),
@@ -186,7 +206,7 @@ def _apriori(cfg: RunConfig) -> dict:
 
 
 def _convergence(cfg: RunConfig) -> dict:
-    system, sim = cfg.make_system(), cfg.require("sim")
+    system, sim = _simulation(cfg)
     n_list = cfg.require("convergence.n_list")
     d_list = cfg.require("convergence.delta_list")
     rep = bsde.approximation_convergence(

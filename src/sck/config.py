@@ -29,7 +29,7 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from . import bsde, galerkin, sde
-from .exceptions import DomainError
+from .exceptions import DimensionError, DomainError
 from .systems import StochasticSystem, ToleranceConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_run_config", "parse_pi_expression"]
@@ -170,7 +170,7 @@ def _built(fields: dict, build: Callable) -> Callable:
         values, resolved = _object(fields, spec, path)
         try:
             return build(**values), resolved
-        except DomainError as exc:
+        except (DomainError, DimensionError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return parse
 

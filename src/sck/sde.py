@@ -5,6 +5,10 @@ stream per (seed, step_index), with the path index as the offset inside the
 step block, so every value is a pure function of (seed, path, step): results
 are reproducible, independent of evaluation order, and any sub-block of
 steps can be redrawn on demand without materialising the whole array.
+
+Sweeps step paths-last ensembles, (n, n_paths) states or (n, n, n_paths)
+flows, into two buffers used in turn, so an array a sweep hands out is
+overwritten two steps later; public results keep paths-first shapes.
 """
 
 from __future__ import annotations
@@ -149,36 +153,29 @@ Control = Union[ZeroControl, ConstantControl, PiecewiseConstantControl, Feedback
 
 
 def _validate_control(control: Control, sys: StochasticSystem, n_steps: int) -> Control:
-    if isinstance(control, ZeroControl):
-        return control
-    if isinstance(control, ConstantControl):
-        if control.u.shape[0] != sys.m:
-            raise DimensionError(f"constant control must have length m={sys.m}")
-        return control
-    if isinstance(control, PiecewiseConstantControl):
-        if control.values.shape != (n_steps, sys.m):
-            raise DimensionError(
-                f"piecewise control must have shape ({n_steps}, {sys.m}), "
-                f"got {control.values.shape}"
-            )
-        return control
-    if isinstance(control, FeedbackControl):
-        if control.K.shape != (sys.m, sys.n):
-            raise DimensionError(f"feedback gain must have shape ({sys.m}, {sys.n})")
-        return control
-    raise DomainError(f"unsupported control specification: {control!r}")
+    if not isinstance(control, (ZeroControl, ConstantControl, PiecewiseConstantControl,
+                                FeedbackControl)):
+        raise DomainError(f"unsupported control specification: {control!r}")
+    if isinstance(control, ConstantControl) and control.u.shape[0] != sys.m:
+        raise DimensionError(f"constant control must have length m={sys.m}")
+    if isinstance(control, PiecewiseConstantControl) and control.values.shape != (n_steps, sys.m):
+        raise DimensionError(f"piecewise control must have shape ({n_steps}, {sys.m}), "
+                             f"got {control.values.shape}")
+    if isinstance(control, FeedbackControl) and control.K.shape != (sys.m, sys.n):
+        raise DimensionError(f"feedback gain must have shape ({sys.m}, {sys.n})")
+    return control
 
 
-def _bu_term(control: Control, B: np.ndarray, k: int, states: np.ndarray) -> Optional[np.ndarray]:
-    """B u_k for all paths; None for the zero control, else a (n,) vector or
-    an (n_paths, n) array."""
+def _bu_term(control: Control, B: np.ndarray, k: int, X: np.ndarray,
+             scale: float = 1.0) -> Optional[np.ndarray]:
+    """scale * B u_k for the paths-last states X of shape (n, n_paths); None
+    for the zero control, else a new (n, 1) column or (n, n_paths) array."""
     if isinstance(control, ZeroControl):
         return None
-    if isinstance(control, ConstantControl):
-        return B @ control.u
-    if isinstance(control, PiecewiseConstantControl):
-        return B @ control.values[k]
-    return (states @ control.K.T) @ B.T
+    if isinstance(control, FeedbackControl):
+        return B @ (control.K @ X) * scale
+    u = control.u if isinstance(control, ConstantControl) else control.values[k]
+    return (B @ u)[:, None] * scale
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +209,22 @@ def _check_blowup(X: np.ndarray, step: int, dt: float):
         )
 
 
-def _euler_step(X: np.ndarray, F_T: np.ndarray, C_T: np.ndarray, dw: np.ndarray,
-                bu: Optional[np.ndarray], step: int, dt: float) -> np.ndarray:
-    """One Euler-Maruyama step X F_T + (X C_T) dW + bu dt on the last axis of X,
-    with the paths on the first axis, checked for blow-up at ``step``.
+def _euler_step(X: np.ndarray, F: np.ndarray, C: np.ndarray, dw: np.ndarray,
+                bu: Optional[np.ndarray], out: np.ndarray, noise: np.ndarray,
+                step: int, dt: float) -> np.ndarray:
+    """One Euler-Maruyama step F X + (C X) dW + bu into the buffer ``out``
+    (``noise`` is scratch; neither may be X), checked for blow-up at ``step``.
 
-    With F_T = I + dt A^T and C_T = C^T this is the forward update
-    X + (A X + B u) dt + C X dW on row vectors.
+    X is paths-last: (n, n_paths) states, or (n, n, n_paths) flows stored as
+    (column, state, path).  With F = I + dt A and bu = B u dt, an (n, 1)
+    column or (n, n_paths), this is X + (A X + B u) dt + C X dW.
     """
-    out = X @ F_T
-    noise = X @ C_T
-    noise *= dw.reshape((-1,) + (1,) * (X.ndim - 1))
+    np.matmul(F, X, out=out)
+    np.matmul(C, X, out=noise)
+    noise *= dw
     out += noise
     if bu is not None:
-        out += bu * dt
+        out += bu
     _check_blowup(out, step, dt)
     return out
 
@@ -243,20 +242,23 @@ def _forward_sweep(
 ) -> Iterator[tuple[int, Optional[np.ndarray], np.ndarray]]:
     """Check x0 and the control, then return the forward sweep.
 
-    The sweep yields (k, dW_{k-1}, X_k) for k = 0..K, with dW None at k = 0.
+    The sweep yields (k, dW_{k-1}, X_k) for k = 0..K, with dW None at k = 0
+    and X_k an (n_paths, n) view of the sweep's paths-last buffer.  A
+    yielded X is valid only until the sweep moves on: copy it to keep it.
     Nothing is allocated until it is iterated.
     """
     x0 = _initial_state(x0, sys)
     control = _validate_control(control, sys, cfg.n_steps)
-    F_T = np.eye(sys.n) + cfg.dt * sys.A.T
-    C_T = sys.C.T
+    F = np.eye(sys.n) + cfg.dt * sys.A
 
     def sweep():
-        X = np.tile(x0, (cfg.n_paths, 1))
-        yield 0, None, X
+        X = np.repeat(x0[:, None], cfg.n_paths, axis=1)
+        nxt, noise = np.empty_like(X), np.empty_like(X)
+        yield 0, None, X.T
         for k, dw in _noise(cfg, range(cfg.n_steps)):
-            X = _euler_step(X, F_T, C_T, dw, _bu_term(control, sys.B, k, X), k + 1, cfg.dt)
-            yield k + 1, dw, X
+            bu = _bu_term(control, sys.B, k, X, cfg.dt)
+            X, nxt = _euler_step(X, F, sys.C, dw, bu, nxt, noise, k + 1, cfg.dt), X
+            yield k + 1, dw, X.T
 
     return sweep()
 
@@ -321,23 +323,18 @@ def simulate_flow(
     if not (0 <= k0 <= k1 <= K):
         raise DomainError(f"invalid step range [{k0}, {k1})")
     n = sys.n
-    F_T = np.eye(n) + cfg.dt * sys.A.T
-    C_T = sys.C.T
-    # the columns of Phi are the rows of Phi^T, which step like forward states
-    Phi_T = np.broadcast_to(np.eye(n), (cfg.n_paths, n, n))
-    steps = k1 - k0
-    n_rec = steps + 1 if record else (2 if steps else 1)
-    flows = np.empty((cfg.n_paths, n_rec, n, n))
-    flows[:, 0] = Phi_T
-    dt = cfg.dt
-    for j, (k, dw) in enumerate(_noise(cfg, range(k0, k1))):
-        Phi_T = _euler_step(Phi_T, F_T, C_T, dw, None, k + 1, dt)
-        if record:
-            flows[:, j + 1] = Phi_T.transpose(0, 2, 1)
-    if not record and steps:
-        flows[:, 1] = Phi_T.transpose(0, 2, 1)
-    times = dt * (np.arange(k0, k1 + 1, dtype=float) if record else np.array([k0, k1][: n_rec], dtype=float))
-    return FlowEnsemble(times=times, flows=flows)
+    F = np.eye(n) + cfg.dt * sys.A
+    # the columns of Phi step like forward states: Phi[p][i, j] is X[j, i, p]
+    X = np.repeat(np.eye(n)[:, :, None], cfg.n_paths, axis=2)
+    nxt, noise = np.empty_like(X), np.empty_like(X)
+    kept = np.arange(k0, k1 + 1) if record else np.unique([k0, k1])
+    flows = np.empty((cfg.n_paths, len(kept), n, n))
+    flows[:, 0] = np.eye(n)
+    for k, dw in _noise(cfg, range(k0, k1)):
+        X, nxt = _euler_step(X, F, sys.C, dw, None, nxt, noise, k + 1, cfg.dt), X
+        if record or k + 1 == k1:
+            flows[:, k + 1 - k0 if record else 1] = X.transpose(2, 1, 0)
+    return FlowEnsemble(times=cfg.dt * kept.astype(float), flows=flows)
 
 
 # ---------------------------------------------------------------------------
@@ -392,30 +389,26 @@ def girsanov_check(
     if any(d2 >= d1 for d1, d2 in zip(dts, dts[1:])):
         raise DomainError("dt_list must be strictly decreasing")
 
-    A, B, C = sys.A, sys.B, sys.C
     eye = np.eye(sys.n)
-    A2 = A + lam * C
-    C2_T = (C + lam * eye).T
+    C2 = sys.C + lam * eye
     out = []
     for dt in dts:
         run = replace(cfg, dt=dt)
-        ctrl = _validate_control(control, sys, run.n_steps)
-        F_T, F2_T = eye + dt * A.T, eye + dt * A2.T
-        X = np.tile(x0, (run.n_paths, 1))
-        Xt = X.copy()
-        W = np.zeros(run.n_paths)
-        sup_err = np.zeros(run.n_paths)
-        for k, dw in _noise(run, range(run.n_steps)):
-            expmart = np.exp(lam * W - 0.5 * lam * lam * (k * dt))
-            bu = _bu_term(ctrl, B, k, X)
+        F2 = eye + dt * (sys.A + lam * sys.C)
+        Xt = np.repeat(x0[:, None], run.n_paths, axis=1)
+        Xt_next, noise = np.empty_like(Xt), np.empty_like(Xt)
+        W, sup_err = np.zeros(run.n_paths), np.zeros(run.n_paths)
+        expmart = np.ones(run.n_paths)  # exp(lam W_k - lam^2 t_k / 2), carried over
+        # X~ steps in lockstep with the sweep, on its increments
+        for k, dw, X in _forward_sweep(sys, x0, control, run):
+            if k:
+                Xt, Xt_next = _euler_step(Xt, F2, C2, dw, bv, Xt_next, noise, k, dt), Xt
+                W += dw
+                expmart = np.exp(lam * W - 0.5 * lam * lam * (k * dt))
+                np.maximum(sup_err, np.linalg.norm(expmart * X.T - Xt, axis=0), out=sup_err)
             # v = E_t u, so B v = E_t (B u) by linearity
-            bv = None if bu is None else expmart[:, None] * bu
-            X = _euler_step(X, F_T, C.T, dw, bu, k + 1, dt)
-            Xt = _euler_step(Xt, F2_T, C2_T, dw, bv, k + 1, dt)
-            W = W + dw
-            expmart_next = np.exp(lam * W - 0.5 * lam * lam * ((k + 1) * dt))
-            err = np.linalg.norm(expmart_next[:, None] * X - Xt, axis=1)
-            np.maximum(sup_err, err, out=sup_err)
+            bu = _bu_term(control, sys.B, min(k, run.n_steps - 1), X.T)
+            bv = None if bu is None else expmart * bu * dt
         out.append((dt, float(np.mean(sup_err))))
     return out
 

@@ -11,6 +11,7 @@ from sck import (
     DeterministicTerminal,
     FeedbackControl,
     LinearInWTTerminal,
+    PiecewiseConstantControl,
     SimConfig,
     StochasticSystem,
     ZeroControl,
@@ -214,6 +215,52 @@ class TestDualityCheck:
                             DeterministicTerminal(np.array([0.0, 1.0, 0.0, 0.0])), cfg)
         assert rep.stderr == 0.0
         assert rep.passed
+
+    @pytest.mark.parametrize("kind", ["zero", "constant", "piecewise"])
+    def test_lhs_is_the_mean_recursion(self, kind):
+        # C = e1 e1^T and xi = e2: mode 2 sees no noise, so X_K . xi is the
+        # discrete mean recursion m_{k+1} = (I + dt A) m_k + dt B u_k on every path
+        s = example2()
+        cfg = SimConfig(T=0.5, dt=0.01, n_paths=300, seed=13)
+        values = np.sin(np.arange(cfg.n_steps))[:, None]
+        control, u_of = {
+            "zero": (ZeroControl(), lambda k: np.zeros(1)),
+            "constant": (ConstantControl(np.array([1.5])), lambda k: np.array([1.5])),
+            "piecewise": (PiecewiseConstantControl(values), lambda k: values[k]),
+        }[kind]
+        xi = np.array([0.0, 1.0, 0.0, 0.0])
+        x0 = np.array([1.0, -0.5, 2.0, 0.25])
+        rep = duality_check(s, x0, control, DeterministicTerminal(xi), cfg)
+        m = x0
+        for k in range(cfg.n_steps):
+            m = m + cfg.dt * (s.A @ m + s.B @ u_of(k))
+        assert rep.lhs == pytest.approx(m @ xi, rel=1e-12)
+        assert rep.passed
+
+    def test_rhs_is_the_trapezoid_of_the_solvers(self):
+        # rebuild both sides from the public solvers: the running trapezoid of
+        # the check must equal np.trapezoid over the reporting grid bit for bit
+        rng = np.random.default_rng(61)
+        A, B, C = random_dissipative_system(rng, 3, m=2, c_scale=0.5)
+        s = StochasticSystem(A, B, C=C)
+        cfg = SimConfig(T=1.0, dt=1e-2, n_paths=500, seed=67)
+        x0, values = rng.standard_normal(3), rng.standard_normal((cfg.n_steps, 2))
+        term = LinearInWTTerminal(rng.standard_normal(3), rng.standard_normal(3))
+        control = PiecewiseConstantControl(values)
+        rep = duality_check(s, x0, control, term, cfg, n_regression_times=13)
+
+        sol = solve_dual_bsde(s, term, cfg, n_regression_times=13)
+        steps = np.round(sol.times / cfg.dt).astype(int)
+        integrand = np.stack([
+            np.einsum("pi,pi->p", np.broadcast_to(B @ values[min(k, cfg.n_steps - 1)], (cfg.n_paths, 3)), Y)
+            for k, Y in zip(steps, sol.Y)
+        ])
+        rhs_samples = sol.Y[0] @ x0 + np.trapezoid(integrand, x=sol.times, axis=0)
+        assert rep.rhs == float(np.mean(rhs_samples))
+
+        ens = simulate_forward(s, x0, control, cfg, record_steps=[])
+        lhs_samples = np.einsum("pi,pi->p", ens.states[:, -1], sol.Y[-1])
+        assert rep.lhs == pytest.approx(float(np.mean(lhs_samples)), rel=1e-12)
 
     def test_stochastic_stderr_is_sample_standard_error(self):
         # rebuild both sides' samples from the public solvers and compare with

@@ -272,6 +272,37 @@ class TestErrorStatuses:
         with pytest.raises(ConfigError, match=f"^{re.escape(missing)}: required"):
             run_subcommand(sub, parse_run_config(raw))
 
+    @pytest.mark.parametrize("sub, extra, message", [
+        ("duality", {"x0": [1, 1]}, "x0: expected shape (4,) for (n), got (2,)"),
+        ("girsanov", {"x0": [1, 1, 1]}, "x0: expected shape (4,) for (n), got (3,)"),
+        ("duality", {"control": {"type": "constant", "u": [1, 1]}},
+         "control.u: expected shape (1,) for (m), got (2,)"),
+        ("simulate-forward", {"control": {"type": "piecewise", "values": [[1.0]] * 19}},
+         "control.values: expected shape (20, 1) for (K, m), got (19, 1)"),
+        ("girsanov", {"control": {"type": "piecewise", "values": [[1.0, 2.0]] * 20}},
+         "control.values: expected shape (20, 1) for (K, m), got (20, 2)"),
+        ("simulate-forward", {"control": {"type": "feedback", "K": [[1, 2, 3]]}},
+         "control.K: expected shape (1, 4) for (m, n), got (1, 3)"),
+        ("duality", {"terminal": {"type": "deterministic", "xi": [0, 1]}},
+         "terminal.xi: expected shape (4,) for (n), got (2,)"),
+        ("duality", {"terminal": {"type": "linear_in_wt", "xi0": [1, 0, 0], "xi1": [0, 1, 0]}},
+         "terminal.xi0: expected shape (4,) for (n), got (3,)"),
+        ("duality", {"terminal": {"type": "linear_in_wt", "xi0": [1, 0, 0, 0], "xi1": [0, 1]}},
+         "terminal: xi0 and xi1 must have the same length"),
+        ("convergence", {"terminal": {"type": "deterministic", "xi": [0, 1, 0]}},
+         "terminal.xi: expected shape (4,) for (n), got (3,)"),
+        ("apriori", {"terminal": {"type": "deterministic", "xi": [0, 1]}},
+         "terminal.xi: expected shape (4,) for (n), got (2,)"),
+    ])
+    def test_size_errors_name_the_field(self, tmp_path, capsys, sub, extra, message):
+        raw = {**EXAMPLE2, "sim": SMALL_SIM, "x0": [1, 1, 1, 1],
+               "terminal": {"type": "deterministic", "xi": [0, 1, 0, 0]},
+               "girsanov": {"lambda": 1.0, "dt_list": [0.01]},
+               "convergence": {"n_list": [10], "delta_list": [0.1]}, **extra}
+        code, text = run_cli(tmp_path, sub, raw)
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == f"sck: input error: {message}\n"
+
     def test_unknown_subcommand_in_library_calls(self):
         with pytest.raises(ConfigError, match="unknown subcommand"):
             run_subcommand("frobnicate", parse_run_config(dict(EXAMPLE2, sim=SMALL_SIM)))

@@ -25,6 +25,38 @@ def scalar_system(a=-1.0, c=0.5):
     return StochasticSystem(np.array([[a]]), np.zeros((1, 1)), C=np.array([[c]]))
 
 
+def random_system(rng, n, m):
+    """Non-symmetric A and C of norm about 1, so a transposed operator shows."""
+    A = rng.standard_normal((n, n)) / np.sqrt(n) - 2.0 * np.eye(n)
+    C = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return StochasticSystem(A, rng.standard_normal((n, m)), C=C)
+
+
+def reference_states(s, x0, u_of, cfg):
+    """Row-vector Euler loop X <- X + (X A^T + u B^T) dt + (X C^T) dW,
+    shape (n_paths, K+1, n)."""
+    dW = brownian_increments(cfg)
+    X = np.tile(x0, (cfg.n_paths, 1))
+    ref = [X]
+    for k in range(cfg.n_steps):
+        X = X + (X @ s.A.T + u_of(k, X) @ s.B.T) * cfg.dt + (X @ s.C.T) * dW[:, k, None]
+        ref.append(X)
+    return np.stack(ref, axis=1)
+
+
+def controls(rng, s, n_steps):
+    """kind -> (control, u_of(k, X)) with random values for system s."""
+    u = rng.standard_normal(s.m)
+    V = rng.standard_normal((n_steps, s.m))
+    K = 0.3 * rng.standard_normal((s.m, s.n)) / np.sqrt(s.n)
+    return {
+        "zero": (ZeroControl(), lambda k, X: np.zeros((X.shape[0], s.m))),
+        "constant": (ConstantControl(u), lambda k, X: u),
+        "piecewise": (PiecewiseConstantControl(V), lambda k, X: V[k]),
+        "feedback": (FeedbackControl(K), lambda k, X: X @ K.T),
+    }
+
+
 class TestSimConfig:
     def test_grid_must_divide(self):
         with pytest.raises(DomainError):
@@ -203,6 +235,19 @@ class TestSimulateForward:
             ref.append(X)
         assert np.allclose(ens.states, np.stack(ref, axis=1), rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["zero", "constant", "piecewise", "feedback"])
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_matches_reference_loop_at_size(self, n, kind):
+        # the 2-state case above cannot show every transposed operator
+        rng = np.random.default_rng(n)
+        s = random_system(rng, n, m=min(n, 3))
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=6, seed=7)
+        control, u_of = controls(rng, s, cfg.n_steps)[kind]
+        x0 = rng.standard_normal(n)
+        ens = simulate_forward(s, x0, control, cfg)
+        ref = reference_states(s, x0, u_of, cfg)
+        assert np.allclose(ens.states, ref, rtol=1e-12, atol=1e-12)
+
 
 class TestSimulateFlow:
     def test_noiseless_flow_equals_euler_exponential(self):
@@ -243,6 +288,19 @@ class TestSimulateFlow:
         recon = np.einsum("pkij,j->pki", fl.flows, x0)
         assert np.allclose(recon, fw.states, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_flow_times_initial_state_matches_forward_at_size(self, n):
+        rng = np.random.default_rng(40 + n)
+        s = random_system(rng, n, m=1)
+        cfg = SimConfig(T=0.5, dt=0.01, n_paths=30, seed=29)
+        x0 = rng.standard_normal(n)
+        fl = simulate_flow(s, cfg)
+        fw = simulate_forward(s, x0, ZeroControl(), cfg)
+        recon = np.einsum("pkij,j->pki", fl.flows, x0)
+        assert np.allclose(recon, fw.states, rtol=1e-12, atol=1e-12)
+        final = simulate_flow(s, cfg, record=False)
+        assert np.array_equal(final.flows[:, -1], fl.flows[:, -1])
+
 
 class TestEnsembleMoments:
     def test_matches_full_simulation(self):
@@ -266,6 +324,32 @@ class TestGirsanov:
         cfg = SimConfig(T=1.0, dt=0.01, n_paths=50, seed=37)
         pts = girsanov_check(s, 0.0, np.ones(3), ConstantControl(np.array([1.0, -1.0])), cfg, [0.01])
         assert pts[0][1] == 0.0
+
+    @pytest.mark.parametrize("kind", ["constant", "feedback"])
+    def test_matches_row_vector_reference(self, kind):
+        rng = np.random.default_rng(53)
+        s = random_system(rng, 3, m=2)
+        lam, x0 = -1.0, rng.standard_normal(3)
+        cfg = SimConfig(T=1.0, dt=0.02, n_paths=40, seed=59)
+        control, u_of = controls(rng, s, cfg.n_steps)[kind]
+        dts = [0.02, 0.01]
+        pts = girsanov_check(s, lam, x0, control, cfg, dts)
+        A2_T, C2_T = (s.A + lam * s.C).T, (s.C + lam * np.eye(3)).T
+        for (dt, err), dt_ref in zip(pts, dts):
+            run = SimConfig(T=1.0, dt=dt_ref, n_paths=cfg.n_paths, seed=cfg.seed)
+            dW = brownian_increments(run)
+            X = np.tile(x0, (run.n_paths, 1))
+            Xt, W, sup = X.copy(), np.zeros(run.n_paths), np.zeros(run.n_paths)
+            for k in range(run.n_steps):
+                E = np.exp(lam * W - 0.5 * lam**2 * (k * dt_ref))
+                bu = u_of(k, X) @ s.B.T
+                X, Xt = (X + (X @ s.A.T + bu) * dt_ref + (X @ s.C.T) * dW[:, k, None],
+                         Xt + (Xt @ A2_T + E[:, None] * bu) * dt_ref + (Xt @ C2_T) * dW[:, k, None])
+                W = W + dW[:, k]
+                E = np.exp(lam * W - 0.5 * lam**2 * ((k + 1) * dt_ref))
+                sup = np.maximum(sup, np.linalg.norm(E[:, None] * X - Xt, axis=1))
+            assert dt == dt_ref
+            assert err == pytest.approx(np.mean(sup), rel=1e-12)
 
     def test_error_decays_with_dt(self):
         from sck import assemble_example2
