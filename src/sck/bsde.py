@@ -23,6 +23,7 @@ ch. 1.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -126,8 +127,7 @@ class BsdeSolution:
 def _regression_steps(cfg: SimConfig, n_times: int) -> np.ndarray:
     if n_times < 2:
         raise DomainError("need at least 2 regression times")
-    steps = np.unique(np.round(np.linspace(0, cfg.n_steps, n_times)).astype(int))
-    return steps
+    return np.unique(np.round(np.linspace(0, cfg.n_steps, n_times)).astype(int))
 
 
 def _dual_coefficients(sys: StochasticSystem, terminal: Terminal, cfg: SimConfig) -> np.ndarray:
@@ -139,13 +139,13 @@ def _dual_coefficients(sys: StochasticSystem, terminal: Terminal, cfg: SimConfig
         raise DimensionError(f"terminal dimension must equal n={sys.n}")
     K, dt = cfg.n_steps, cfg.dt
     # coefficient vectors are rows, so (I + dt A^T) y is y (I + dt A)
-    F = np.eye(sys.n) + dt * sys.A
+    F, C = np.eye(sys.n) + dt * sys.A, sys.C
     lift = dt * np.arange(1, len(y))[:, None]  # (j + 1) dt for j = 0..degree-1
     out = np.empty((K + 1,) + y.shape)
     out[K] = y
     for k in range(K - 1, -1, -1):
         out[k] = out[k + 1] @ F
-        out[k, :-1] += lift * (out[k + 1, 1:] @ sys.C)
+        out[k, :-1] += lift * (out[k + 1, 1:] @ C)
         _check_blowup(out[k], k, dt)
     return out
 
@@ -162,6 +162,11 @@ def _brownian_at(cfg: SimConfig, steps: np.ndarray) -> np.ndarray:
             w[j] = cur
             j += 1
     return w
+
+
+def _semigroup(M: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+    """exp(t M) at each of the times."""
+    return [scipy.linalg.expm(t * M) for t in times]
 
 
 def solve_dual_bsde(
@@ -185,9 +190,7 @@ def solve_dual_bsde(
     shape = (len(steps), cfg.n_paths, sys.n)
     if coef.shape[1] == 1:
         Y = np.broadcast_to(coef[steps, 0][:, None], shape)
-        y_exact = np.stack(
-            [scipy.linalg.expm((cfg.T - t) * sys.A.T) @ terminal.xi for t in times]
-        )
+        y_exact = np.stack([E @ terminal.xi for E in _semigroup(sys.A.T, cfg.T - times)])
         return BsdeSolution(times=times, Y=Y, Z=np.broadcast_to(0.0, shape),
                             terminal=terminal, w=None, y_exact=y_exact)
     w = _brownian_at(cfg, steps)
@@ -305,12 +308,6 @@ class AprioriReport:
     scale_ok: bool
 
 
-def _stacked_terminal(t: Terminal) -> np.ndarray:
-    if isinstance(t, DeterministicTerminal):
-        return np.concatenate([t.xi, np.zeros_like(t.xi)])
-    return np.concatenate([t.xi0, t.xi1])
-
-
 def apriori_bound_check(
     sys: StochasticSystem,
     terminal_samples: Sequence[Terminal],
@@ -321,8 +318,7 @@ def apriori_bound_check(
     samples = list(terminal_samples)
     if len(samples) < 5:
         raise DomainError("need at least 5 terminal samples")
-    records = []
-    vecs = []
+    records, vecs = [], []
     for i, term in enumerate(samples):
         sol = solve_dual_bsde(sys, term, cfg, n_regression_times)
         mean_y2 = np.mean(np.sum(sol.Y * sol.Y, axis=2), axis=1)  # (R,)
@@ -332,33 +328,23 @@ def apriori_bound_check(
             raise DomainError(f"terminal sample {i} has zero mean square")
         sup_y = float(np.max(mean_y2))
         int_z = float(np.trapezoid(mean_z2, x=sol.times))
-        records.append(
-            AprioriSample(
-                index=i,
-                xi_mean_square=xi_ms,
-                sup_mean_y_square=sup_y,
-                int_mean_z_square=int_z,
-                ratio=(sup_y + int_z) / xi_ms,
-            )
-        )
-        vecs.append(_stacked_terminal(term))
+        records.append(AprioriSample(index=i, xi_mean_square=xi_ms, sup_mean_y_square=sup_y,
+                                     int_mean_z_square=int_z, ratio=(sup_y + int_z) / xi_ms))
+        y = _hermite_terminal(term)
+        vecs.append(np.pad(y, ((0, 2 - len(y)), (0, 0))).ravel())  # degree 1 padded
 
     norms = sorted(np.sqrt(r.xi_mean_square) for r in records)
     for a, b in zip(norms, norms[1:]):
         if abs(a - b) <= 1e-12 * max(1.0, abs(b)):
             raise DomainError("terminal samples must have distinct norms")
 
-    # group pure rescalings of the same shape (collinear stacked terminals)
+    # group pure rescalings of the same shape (collinear Hermite coefficients)
     spread = 1.0
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            vi, vj = vecs[i], vecs[j]
-            cross = abs(float(vi @ vj))
-            if cross >= (1.0 - 1e-12) * np.linalg.norm(vi) * np.linalg.norm(vj):
-                ri, rj = records[i].ratio, records[j].ratio
-                hi, lo = max(ri, rj), min(ri, rj)
-                if lo > 0:
-                    spread = max(spread, hi / lo)
+    for (vi, ri), (vj, rj) in combinations(zip(vecs, [r.ratio for r in records]), 2):
+        if abs(float(vi @ vj)) >= (1.0 - 1e-12) * np.linalg.norm(vi) * np.linalg.norm(vj):
+            hi, lo = max(ri, rj), min(ri, rj)
+            if lo > 0:
+                spread = max(spread, hi / lo)
     k_hat = max(r.ratio for r in records)
     return AprioriReport(
         k_hat=float(k_hat),
@@ -413,12 +399,10 @@ class ConvergenceReport:
         raise KeyError((nres, delta))
 
 
-def _sup_semigroup_gap(M1: np.ndarray, M2: np.ndarray, times: np.ndarray, probes: np.ndarray) -> float:
-    gap = 0.0
-    for t in times:
-        D = (scipy.linalg.expm(t * M1) - scipy.linalg.expm(t * M2)) @ probes
-        gap = max(gap, float(np.max(np.linalg.norm(D, axis=0))))
-    return gap
+def _sup_gap(E1: list[np.ndarray], E2: list[np.ndarray], probes: np.ndarray) -> float:
+    """sup over the times and probes of |(exp(t M1) - exp(t M2)) p|."""
+    return max(0.0, *(float(np.max(np.linalg.norm((a - b) @ probes, axis=0)))
+                      for a, b in zip(E1, E2)))
 
 
 def approximation_convergence(
@@ -428,7 +412,6 @@ def approximation_convergence(
     n_list: Sequence[int],
     delta_list: Sequence[float],
     lam: float = 1.0,
-    n_time_points: int = 21,
     n_regression_times: int = 11,
 ) -> ConvergenceReport:
     """Two-parameter convergence experiment for the approximation scheme.
@@ -440,7 +423,7 @@ def approximation_convergence(
         A  + lam * E_d C E_d           (mollified)
         A  + lam * C                   (exact)
 
-    on a probe set over the time grid [0, T]; the first gap shrinks with n
+    on a probe set over 21 points of [0, T]; the first gap shrinks with n
     at fixed delta, the second with delta.  With A = 0 every operator
     coincides and all gaps vanish identically.
 
@@ -464,13 +447,12 @@ def approximation_convergence(
         raise DomainError("delta_list entries must be positive")
 
     A, C = sys.A, sys.C
-    dim = sys.n
-    times = np.linspace(0.0, cfg.T, n_time_points)
+    times = np.linspace(0.0, cfg.T, 21)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
-    extra = rng.standard_normal((dim, 2))
+    extra = rng.standard_normal((sys.n, 2))
     extra /= np.linalg.norm(extra, axis=0)
-    probes = np.hstack([np.eye(dim), extra])
-    M_exact = A + lam * C
+    probes = np.hstack([np.eye(sys.n), extra])
+    exact = _semigroup(A + lam * C, times)
 
     y0_ref = None
     if terminal is not None:
@@ -481,38 +463,34 @@ def approximation_convergence(
     for delta in delta_list:
         E_d = scipy.linalg.expm(delta * A)
         C_d = E_d @ C @ E_d
-        M_moll = A + lam * C_d
-        err_moll = _sup_semigroup_gap(M_moll, M_exact, times, probes)
+        moll = _semigroup(A + lam * C_d, times)
+        err_moll = _sup_gap(moll, exact, probes)
         for nres in n_list:
             J, An = yosida_pair(A, nres)
-            M_full = An + lam * (J.T @ C_d @ J)
-            err_yos = _sup_semigroup_gap(M_full, M_moll, times, probes)
-            err_tot = _sup_semigroup_gap(M_full, M_exact, times, probes)
+            C_mod = J.T @ C_d @ J
+            full = _semigroup(An + lam * C_mod, times)
+            err_yos = _sup_gap(full, moll, probes)
+            err_tot = _sup_gap(full, exact, probes)
             err_bsde = None
             if y0_ref is not None:
-                sys_mod = StochasticSystem(sys.A, sys.B, C=J.T @ C_d @ J, gamma=sys.gamma)
+                sys_mod = StochasticSystem(sys.A, sys.B, C=C_mod, gamma=sys.gamma)
                 gap = _dual_coefficients(sys_mod, terminal, cfg)[steps, 0] - y0_ref
                 err_bsde = float(np.max(np.sum(gap * gap, axis=1)))
-            rows.append(
-                ConvergenceRow(nres, delta, err_yos, err_moll, err_tot, err_bsde)
-            )
+            rows.append(ConvergenceRow(nres, delta, err_yos, err_moll, err_tot, err_bsde))
 
     def decreasing(seq):
         return all(b < a or a == b == 0.0 for a, b in zip(seq, seq[1:]))
 
-    by = {(r.nres, r.delta): r for r in rows}
-    n_max = n_list[-1]
-    yos_flag = all(
-        decreasing([by[(n_, d)].err_yosida for n_ in n_list]) for d in delta_list
-    )
-    moll_flag = decreasing([by[(n_max, d)].err_mollifier for d in delta_list])
-    tot_flag = decreasing([by[(n_max, d)].err_total for d in delta_list])
-    bsde_n = bsde_d = None
-    if y0_ref is not None:
-        bsde_n = all(
-            decreasing([by[(n_, d)].err_bsde for n_ in n_list]) for d in delta_list
-        )
-        bsde_d = decreasing([by[(n_max, d)].err_bsde for d in delta_list])
+    def flags(column):
+        """(decreasing in n at every delta, decreasing in delta at the largest
+        n), read from the (delta x n) table of one error column."""
+        table = np.reshape([getattr(r, column) for r in rows], (len(delta_list), -1))
+        return all(map(decreasing, table)), decreasing(table[:, -1])
+
+    yos_flag, _ = flags("err_yosida")
+    _, moll_flag = flags("err_mollifier")
+    _, tot_flag = flags("err_total")
+    bsde_n, bsde_d = (None, None) if y0_ref is None else flags("err_bsde")
     return ConvergenceReport(
         rows=rows,
         n_list=n_list,

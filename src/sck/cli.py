@@ -364,8 +364,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("SCK_THREADS", "0"))
-        if threads < 0:
+            env = os.environ.get("SCK_THREADS", "0")
+            try:
+                threads = int(env)
+            except ValueError:
+                threads = -1
+            if threads < 0:
+                raise ConfigError(f"SCK_THREADS: expected a non-negative integer, got {env!r}")
+        elif threads < 0:
             raise ConfigError("--threads must be >= 0")
 
         try:

@@ -319,9 +319,13 @@ class RunConfig:
 
     def make_system(self) -> StochasticSystem:
         """Assemble the configured system (deferred so coefficient-only
-        subcommands can run even if assembly would be rejected)."""
+        subcommands can run even if assembly would be rejected); a rejection
+        names the system source."""
         kind, parts = self.system
-        return _SYSTEMS[kind][1](self.tolerances, **parts)
+        try:
+            return _SYSTEMS[kind][1](self.tolerances, **parts)
+        except (DomainError, DimensionError) as exc:
+            raise ConfigError(f"system.{kind}: {exc}") from exc
 
     def coefficient_fns(self) -> tuple[Callable, Callable]:
         """(a, c) coefficient callables for the ellipticity check."""

@@ -6,9 +6,11 @@ step block, so every value is a pure function of (seed, path, step): results
 are reproducible, independent of evaluation order, and any sub-block of
 steps can be redrawn on demand without materialising the whole array.
 
-Sweeps step paths-last ensembles, (n, n_paths) states or (n, n, n_paths)
-flows, into two buffers used in turn, so an array a sweep hands out is
-overwritten two steps later; public results keep paths-first shapes.
+One forward sweep steps every ensemble paths-last: states (n, n_paths) from
+x0, and fundamental flows (n, n, n_paths), stored as (column, state, path),
+from the identity under the zero control.  It steps into two buffers used in
+turn, so an array it hands out is overwritten two steps later; public
+results keep paths-first shapes.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def _step_normals(seed: int, step: int, n_paths: int) -> np.ndarray:
 
 
 def _noise(cfg: SimConfig, steps: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, dW_k) for each step k in the order given, forward or reverse."""
+    """(k, dW_k) for each step k in the order given."""
     root = np.sqrt(cfg.dt)
     for k in steps:
         yield k, _step_normals(cfg.seed, k, cfg.n_paths) * root
@@ -237,6 +239,21 @@ def _initial_state(x0, sys: StochasticSystem) -> np.ndarray:
     return x0
 
 
+def _sweep(sys: StochasticSystem, x0: np.ndarray, control: Control,
+           cfg: SimConfig) -> Iterator[tuple[int, Optional[np.ndarray], np.ndarray]]:
+    """The sweep :func:`_forward_sweep` returns, from x0: an n-vector for
+    states, or an (n, n) block whose row j starts column j of a flow.
+    F = I + dt A and C are formed once per run."""
+    F, C = np.eye(sys.n) + cfg.dt * sys.A, sys.C
+    X = np.repeat(x0[..., None], cfg.n_paths, axis=-1)
+    nxt, noise = np.empty_like(X), np.empty_like(X)
+    yield 0, None, X.T
+    for k, dw in _noise(cfg, range(cfg.n_steps)):
+        bu = _bu_term(control, sys.B, k, X, cfg.dt)
+        X, nxt = _euler_step(X, F, C, dw, bu, nxt, noise, k + 1, cfg.dt), X
+        yield k + 1, dw, X.T
+
+
 def _forward_sweep(
     sys: StochasticSystem, x0, control: Control, cfg: SimConfig
 ) -> Iterator[tuple[int, Optional[np.ndarray], np.ndarray]]:
@@ -247,20 +264,7 @@ def _forward_sweep(
     yielded X is valid only until the sweep moves on: copy it to keep it.
     Nothing is allocated until it is iterated.
     """
-    x0 = _initial_state(x0, sys)
-    control = _validate_control(control, sys, cfg.n_steps)
-    F = np.eye(sys.n) + cfg.dt * sys.A
-
-    def sweep():
-        X = np.repeat(x0[:, None], cfg.n_paths, axis=1)
-        nxt, noise = np.empty_like(X), np.empty_like(X)
-        yield 0, None, X.T
-        for k, dw in _noise(cfg, range(cfg.n_steps)):
-            bu = _bu_term(control, sys.B, k, X, cfg.dt)
-            X, nxt = _euler_step(X, F, sys.C, dw, bu, nxt, noise, k + 1, cfg.dt), X
-            yield k + 1, dw, X.T
-
-    return sweep()
+    return _sweep(sys, _initial_state(x0, sys), _validate_control(control, sys, cfg.n_steps), cfg)
 
 
 def simulate_forward(
@@ -284,12 +288,10 @@ def simulate_forward(
     """
     sweep = _forward_sweep(sys, x0, control, cfg)
     K = cfg.n_steps
-    if record_steps is None:
-        recorded = list(range(K + 1))
-    else:
-        recorded = sorted(set(int(k) for k in record_steps) | {0, K})
-        if recorded[0] < 0 or recorded[-1] > K:
-            raise DomainError("record_steps out of range")
+    steps = range(K + 1) if record_steps is None else map(int, record_steps)
+    recorded = sorted({0, K}.union(steps))
+    if recorded[0] < 0 or recorded[-1] > K:
+        raise DomainError("record_steps out of range")
     rec_pos = {k: i for i, k in enumerate(recorded)}
 
     states = np.empty((cfg.n_paths, len(recorded), sys.n))
@@ -302,38 +304,22 @@ def simulate_forward(
     return PathEnsemble(times=cfg.dt * np.array(recorded, dtype=float), states=states, increments=increments.T)
 
 
-def simulate_flow(
-    sys: StochasticSystem,
-    cfg: SimConfig,
-    k0: int = 0,
-    k1: Optional[int] = None,
-    record: bool = True,
-) -> FlowEnsemble:
+def simulate_flow(sys: StochasticSystem, cfg: SimConfig, record: bool = True) -> FlowEnsemble:
     """Euler-Maruyama fundamental matrices of the uncontrolled equation.
 
-    Runs the same recursion as :func:`simulate_forward` column-wise from the
-    identity over steps [k0, k1), consuming exactly the increments keyed by
-    those steps, so flows pair with any path ensemble drawn from the same
-    seed.  With ``record=False`` only the initial and final matrices are
-    kept (the terminal flow is the product of all step factors).
+    The forward sweep of :func:`simulate_forward` run from the identity with
+    the zero control: its (n, n, n_paths) buffer holds the columns of each
+    path's flow, so a yielded (n_paths, n, n) view is the flow itself.  It
+    consumes the same increments as every simulation from this seed, so
+    flows pair with any path ensemble drawn from it.  With ``record=False``
+    only the initial and final matrices are kept.
     """
     K = cfg.n_steps
-    if k1 is None:
-        k1 = K
-    if not (0 <= k0 <= k1 <= K):
-        raise DomainError(f"invalid step range [{k0}, {k1})")
-    n = sys.n
-    F = np.eye(n) + cfg.dt * sys.A
-    # the columns of Phi step like forward states: Phi[p][i, j] is X[j, i, p]
-    X = np.repeat(np.eye(n)[:, :, None], cfg.n_paths, axis=2)
-    nxt, noise = np.empty_like(X), np.empty_like(X)
-    kept = np.arange(k0, k1 + 1) if record else np.unique([k0, k1])
-    flows = np.empty((cfg.n_paths, len(kept), n, n))
-    flows[:, 0] = np.eye(n)
-    for k, dw in _noise(cfg, range(k0, k1)):
-        X, nxt = _euler_step(X, F, sys.C, dw, None, nxt, noise, k + 1, cfg.dt), X
-        if record or k + 1 == k1:
-            flows[:, k + 1 - k0 if record else 1] = X.transpose(2, 1, 0)
+    kept = np.arange(K + 1) if record else np.unique([0, K])
+    flows = np.empty((cfg.n_paths, len(kept), sys.n, sys.n))
+    for k, _, Phi in _sweep(sys, np.eye(sys.n), ZeroControl(), cfg):
+        if record or k in (0, K):
+            flows[:, min(k, len(kept) - 1)] = Phi
     return FlowEnsemble(times=cfg.dt * kept.astype(float), flows=flows)
 
 

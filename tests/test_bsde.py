@@ -447,3 +447,42 @@ class TestApproximationConvergence:
             approximation_convergence(s, None, cfg, [10], [1e-3, 1e-1])
         with pytest.raises(DomainError):
             approximation_convergence(s, None, cfg, [], [1e-1])
+
+
+class TestConvergenceCost:
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        """Arguments of every scipy.linalg.expm call, in order."""
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return expm(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting)
+        return calls
+
+    @staticmethod
+    def c7_system():
+        rng = np.random.default_rng(321)
+        G = rng.standard_normal((4, 4))
+        A = G - (np.linalg.norm(G, 2) + 0.5) * np.eye(4)
+        C = rng.standard_normal((4, 4))
+        C /= np.linalg.norm(C, 2)
+        return StochasticSystem(A, rng.standard_normal((4, 1)), C=C)
+
+    @pytest.mark.parametrize("n_list, delta_list, terminal", [
+        ([10, 100, 1000], [1e-1, 1e-2, 1e-4], None),
+        ([10, 100, 1000], [1e-1, 1e-2, 1e-4], LinearInWTTerminal(np.ones(4), 0.5 * np.ones(4))),
+        ([10, 1000], [1e-1], None),
+        ([10], [1e-1, 1e-2, 1e-3, 1e-4], DeterministicTerminal(np.ones(4))),
+    ])
+    def test_one_exponential_per_operator_and_time(self, expm_calls, n_list, delta_list,
+                                                   terminal):
+        cfg = SimConfig(T=1.0, dt=1e-2, n_paths=100, seed=55)
+        approximation_convergence(self.c7_system(), terminal, cfg, n_list, delta_list)
+        N, D = len(n_list), len(delta_list)
+        # the exact semigroup once, E_d and the mollified one per delta, the
+        # smoothed one per (n, delta): 276 calls at 3 x 3
+        assert len(expm_calls) == 21 * (1 + D + D * N) + D

@@ -303,6 +303,36 @@ class TestErrorStatuses:
         assert code == 1 and text is None
         assert capsys.readouterr().err == f"sck: input error: {message}\n"
 
+    @pytest.mark.parametrize("system, message", [
+        ({"example2": {"N": 4, "b_coeffs": [0.5, 0.5]}},
+         "system.example2: b_coeffs must have length 4, got 2"),
+        ({"matrices": {"A": [[-1.0]], "B": [[1.0]], "gamma": 0.7}},
+         "system.matrices: gamma must lie in [0, 1/2), got 0.7"),
+        ({"matrices": {"A": [[-1.0, 0.0]], "B": [[1.0]]}},
+         "system.matrices: A must be square, got shape (1, 2)"),
+        ({"divform1d": {"N": 1, "a": 1.0, "c": 0.0, "b": 1.0}},
+         "system.divform1d: N must be >= 2, got 1"),
+        ({"divform1d": {"N": 4, "a": -1.0, "c": 0.0, "b": 1.0}},
+         "system.divform1d: diffusion coefficient is not nonnegative on (0,1): "
+         "min a = -1.000e+00"),
+    ])
+    def test_assembly_errors_name_the_source(self, tmp_path, capsys, system, message):
+        code, text = run_cli(tmp_path, "check-n1", {"system": system})
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == f"sck: input error: {message}\n"
+
+    @pytest.mark.parametrize("env, extra, message", [
+        ("abc", (), "SCK_THREADS: expected a non-negative integer, got 'abc'"),
+        ("-2", (), "SCK_THREADS: expected a non-negative integer, got '-2'"),
+        ("abc", ("--threads", "-1"), "--threads must be >= 0"),
+    ])
+    def test_threads_errors_name_the_source(self, tmp_path, capsys, monkeypatch,
+                                            env, extra, message):
+        monkeypatch.setenv("SCK_THREADS", env)
+        code, text = run_cli(tmp_path, "check-n1", EXAMPLE2, extra=extra)
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == f"sck: input error: {message}\n"
+
     def test_unknown_subcommand_in_library_calls(self):
         with pytest.raises(ConfigError, match="unknown subcommand"):
             run_subcommand("frobnicate", parse_run_config(dict(EXAMPLE2, sim=SMALL_SIM)))
