@@ -8,10 +8,21 @@ computes the largest subspace V of Ker B^T that is strictly invariant,
 meaning A^T V is contained in span{V, C^T V}; the system is approximately
 controllable (finite-dimensional criterion) exactly when that subspace is
 trivial.
+
+The public entry points (``verdict``, ``check_condition``,
+``strict_invariant_subspace`` and ``kalman_hautus_rank``) run their many
+small SVDs on one OpenBLAS thread: at n = 128 a second thread makes each
+about twice as slow.  The pool's previous thread count is restored when the
+call returns or raises, so the rest of the process keeps its setting, and
+the results are byte-identical to a run on the default pool.  Under a BLAS
+that is not OpenBLAS the pool is left alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -41,6 +52,43 @@ CONDITION_TAGS = ("N1", "N2")
 
 APPROX_CONTROLLABLE = "ApproxControllable"
 NOT_APPROX_CONTROLLABLE = "NotApproxControllable"
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the OpenBLAS thread count behind ``numpy.linalg``, or
+    None when numpy links another BLAS.  dlsym on the extension's handle
+    also searches the libraries it links."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the previous count
+    after it, also when it raises; does nothing without OpenBLAS."""
+    pool = _blas_threads()
+    if pool is None:
+        yield
+        return
+    get, set_ = pool
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 @dataclass(frozen=True)
@@ -105,6 +153,7 @@ def _witness(S0: np.ndarray, alpha: float) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
+@_one_blas_thread()
 def kalman_hautus_rank(
     A,
     B,
@@ -163,6 +212,7 @@ def _real_shift_candidates(M_T: np.ndarray, zero_tol: float):
     return merged, sorted(cplx, key=lambda z: (z.real, z.imag))
 
 
+@_one_blas_thread()
 def check_condition(
     sys: StochasticSystem,
     lambdas: Sequence[float],
@@ -283,6 +333,7 @@ def _null_basis(M: np.ndarray, tol: float, relative: bool = True) -> np.ndarray:
     return vh[len(vh) - n_small :].T
 
 
+@_one_blas_thread()
 def strict_invariant_subspace(
     A,
     C,
@@ -344,19 +395,36 @@ def commuting_case_check(
     return rank == sys.n
 
 
+# (subspace trivial, N1 and N2 passed) -> (verdict, consistency_warning)
+_VERDICT_RULE = {
+    (True, True): (APPROX_CONTROLLABLE, False),
+    # a violated necessary condition contradicts the trivial subspace:
+    # mathematically impossible, numerically conceivable
+    (True, False): (NOT_APPROX_CONTROLLABLE, True),
+    (False, True): (NOT_APPROX_CONTROLLABLE, True),
+    (False, False): (NOT_APPROX_CONTROLLABLE, False),
+}
+
+
 @dataclass
 class ControllabilityVerdict:
     """Combined outcome of the geometric and Hautus-type tests.
 
     The invariant-subspace criterion is the finite-dimensional ground truth,
-    and the necessary conditions N1 and N2 must agree with it:
-    verdict = ApproxControllable exactly when the subspace is trivial and
-    both N1 and N2 pass (N2 counts as passed when no lambda is accepted).
-    Every other case is NotApproxControllable, and ``consistency_warning``
-    marks the two mixed ones: a trivial subspace with a violated condition
-    (a numerical contradiction), and a nontrivial subspace with every
-    condition passing (legitimate, since the conditions are one-sided; the
-    warning surfaces the asymmetry).
+    and the necessary conditions N1 and N2 must agree with it.  ``verdict``
+    and ``consistency_warning`` come from ``_VERDICT_RULE``, keyed by
+    (subspace trivial, N1 and N2 passed); N2 counts as passed when no lambda
+    is accepted:
+
+        (True, True)   -> ApproxControllable, warning=False
+        (True, False)  -> NotApproxControllable, warning=True
+        (False, True)  -> NotApproxControllable, warning=True
+        (False, False) -> NotApproxControllable, warning=False
+
+    The warning marks the two mixed cases: a trivial subspace with a
+    violated condition (a numerical contradiction), and a nontrivial
+    subspace with every condition passing (legitimate, since the conditions
+    are one-sided; the warning surfaces the asymmetry).
     """
 
     invariant_subspace_dim: int
@@ -371,6 +439,7 @@ class ControllabilityVerdict:
     lambdas_used: list[float]
 
 
+@_one_blas_thread()
 def verdict(
     sys: StochasticSystem,
     lambdas: Sequence[float],
@@ -392,16 +461,7 @@ def verdict(
 
     n1_passed = n1.passed
     n2_passed = n2.passed if n2 is not None else True
-    conditions_passed = n1_passed and n2_passed
-
-    if sub.dim == 0 and conditions_passed:
-        tag, warn = APPROX_CONTROLLABLE, False
-    elif sub.dim == 0:
-        # necessary-condition violation contradicts the trivial subspace;
-        # mathematically impossible, numerically conceivable
-        tag, warn = NOT_APPROX_CONTROLLABLE, True
-    else:
-        tag, warn = NOT_APPROX_CONTROLLABLE, conditions_passed
+    tag, warn = _VERDICT_RULE[sub.dim == 0, n1_passed and n2_passed]
 
     return ControllabilityVerdict(
         invariant_subspace_dim=sub.dim,

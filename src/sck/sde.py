@@ -48,7 +48,7 @@ class SimConfig:
     """Monte Carlo run parameters.
 
     T                  horizon (> 0)
-    dt                 Euler step; T/dt must be an integer within 1e-12
+    dt                 Euler step; T/dt must be an integer >= 1 within 1e-12
     n_paths            ensemble size (>= 2)
     seed               64-bit unsigned seed of the counter-based generator
     regression_degree  parsed and validated in [0, 6] but no longer used: the
@@ -69,6 +69,8 @@ class SimConfig:
         ratio = self.T / self.dt
         if abs(ratio - round(ratio)) > 1e-12 * max(1.0, ratio):
             raise DomainError(f"T/dt = {ratio!r} is not an integer")
+        if round(ratio) < 1:
+            raise DomainError(f"T = {self.T!r} is shorter than one step dt = {self.dt!r}")
         if self.n_paths < 2:
             raise DomainError("n_paths must be >= 2")
         if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:

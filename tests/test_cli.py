@@ -233,6 +233,13 @@ class TestErrorStatuses:
         code, _ = run_cli(tmp_path, "duality", dict(EXAMPLE2, x0=[1, 1, 1, 1]))
         assert code == 1
 
+    def test_zero_step_horizon_is_rejected(self, tmp_path, capsys):
+        raw = dict(EXAMPLE2, sim={"T": 1e-20, "dt": 1, "n_paths": 10, "seed": 3},
+                   x0=[1, 1, 1, 1], terminal={"type": "deterministic", "xi": [0, 1, 0, 0]})
+        code, text = run_cli(tmp_path, "duality", raw)
+        assert code == 1 and text is None
+        assert capsys.readouterr().err.startswith("sck: input error: sim: T = 1e-20 ")
+
     def test_write_failure_is_io_error(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(EXAMPLE2))

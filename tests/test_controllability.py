@@ -14,6 +14,7 @@ from sck import (
     strict_invariant_subspace,
     verdict,
 )
+from sck import controllability
 from sck.exceptions import DomainError
 from sck.galerkin import polynomial, trigonometric
 
@@ -211,6 +212,90 @@ class TestScanCost:
         assert svd_calls == [False] * len(rep.points)
 
 
+@pytest.mark.skipif(controllability._blas_threads() is None,
+                    reason="numpy.linalg does not run on OpenBLAS")
+class TestOneBlasThread:
+    @pytest.fixture
+    def threads(self):
+        """The OpenBLAS thread-count getter, with the pool at 2 threads, so
+        that pinning to 1 and restoring are both visible."""
+        get, set_ = controllability._blas_threads()
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def record_threads(self, monkeypatch, threads, name, after=False):
+        """Wrap ``controllability.<name>`` to record the thread count when it
+        is called, or with ``after`` when it returns."""
+        seen = []
+        orig = getattr(controllability, name)
+
+        def recording(*args, **kwargs):
+            if not after:
+                seen.append(threads())
+            out = orig(*args, **kwargs)
+            if after:
+                seen.append(threads())
+            return out
+
+        monkeypatch.setattr(controllability, name, recording)
+        return seen
+
+    def test_scans_run_on_one_thread(self, threads, monkeypatch):
+        seen = self.record_threads(monkeypatch, threads, "_sigma_min")
+        check_condition(example2_system(), [-3 * PI2], "N2")
+        kalman_hautus_rank(np.diag([-1.0, -2.0]), np.ones((2, 1)))
+        assert seen and set(seen) == {1}
+        assert threads() == 2
+
+    def test_count_restored_after_return(self, threads):
+        s = example2_system()
+        check_condition(s, [], "N1")
+        assert threads() == 2
+        strict_invariant_subspace(s.A, s.C, s.B)
+        assert threads() == 2
+        kalman_hautus_rank(s.A, s.B)
+        assert threads() == 2
+
+    def test_nested_call_restores_the_outer_count(self, threads, monkeypatch):
+        # verdict runs check_condition and then commuting_case_check: both
+        # must still see verdict's single thread after the inner restore
+        returned = self.record_threads(monkeypatch, threads, "check_condition", after=True)
+        inside = self.record_threads(monkeypatch, threads, "commuting_case_check")
+        verdict(example2_system(), [-3 * PI2])
+        assert returned == [1, 1] and inside == [1]
+        assert threads() == 2
+
+    def test_count_restored_after_raise(self, threads):
+        s = StochasticSystem(-np.eye(2), np.ones((2, 1)), C1=2.0 * np.eye(2))
+        with pytest.raises(DomainError):
+            check_condition(s, [0.0], "N2")
+        assert threads() == 2
+
+    def test_no_pool_is_a_no_op(self, threads, monkeypatch):
+        monkeypatch.setattr(controllability, "_blas_threads", lambda: None)
+        seen = self.record_threads(monkeypatch, threads, "_sigma_min")
+        check_condition(example2_system(), [], "N1")
+        assert seen and set(seen) == {2}
+        assert threads() == 2
+
+    def test_parity_scans_bitwise_equal_without_the_helper(self, threads, monkeypatch):
+        def scans():
+            s = parity_system(64)
+            return [check_condition(s, [], "N1"),
+                    check_condition(s, TestParityScan.LAMBDAS, "N2")]
+
+        pinned = scans()
+        monkeypatch.setattr(controllability, "_blas_threads", lambda: None)
+        default = scans()
+        for a, b in zip(pinned, default):
+            assert a.points == b.points
+            assert a.complex_points == b.complex_points
+            assert a.witness_point == b.witness_point
+            assert np.array_equal(a.witness, b.witness)
+
+
 class TestStrictInvariantSubspace:
     def test_zero_control_gives_full_space(self):
         V = strict_invariant_subspace(np.diag([-1.0, -2.0, -3.0]),
@@ -339,6 +424,11 @@ class TestVerdict:
         assert v.consistency_warning
         # the collapse is still visible on the complex branch
         assert any(p.violated for p in v.n1_report.complex_points)
+
+    def test_docstring_quotes_the_rule(self):
+        doc = " ".join(controllability.ControllabilityVerdict.__doc__.split())
+        for (trivial, passed), (tag, warn) in controllability._VERDICT_RULE.items():
+            assert f"({trivial}, {passed}) -> {tag}, warning={warn}" in doc
 
     def test_control_scaling_keeps_classification(self):
         rng = np.random.default_rng(14)
