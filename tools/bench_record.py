@@ -1,14 +1,15 @@
 """Record the benchmark's end-to-end metrics of git revisions in one file.
 
-    python3 tools/bench_record.py --label 10 parent=HEAD~1 change=HEAD
+    python3 tools/bench_record.py --label 10 [--seed 1] parent=HEAD~1 change=HEAD
 
 Each NAME=REV argument is exported with ``git archive`` into a fresh
 directory, and that checkout's own ``perfbench/run.py --trace 0`` runs every
-workload of this repo's BENCHMARK.json, the checkouts taking turns within
-each workload.  The record ``.perfbench_out/<workload>-seed<n>-trace0.json``
-of every run is read back, and BENCH_<label>.json at the repo root gets, per
-NAME, the commit, the environment record and every end-to-end metric's
-median and quartiles.  Exits 1 when any run fails its oracles.
+workload of this repo's BENCHMARK.json for its ``run_seconds``, the
+checkouts taking turns within each workload.  The record
+``.perfbench_out/<workload>-seed<n>-trace0.json`` of every run is read back,
+and BENCH_<label>.json at the repo root gets, per NAME, the commit, the
+environment record and every end-to-end metric's median and quartiles.
+Exits 1 when any run fails its oracles.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="file name suffix: BENCH_<label>.json")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float,
-                        help="time per workload run (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("revisions", nargs="+", metavar="NAME=REV")
     args = parser.parse_args()
     named = [r.split("=", 1) for r in args.revisions]
@@ -70,7 +69,7 @@ def main() -> int:
         parser.error("revisions must be given as NAME=REV")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     records = {}
     with tempfile.TemporaryDirectory(prefix="bench_record-") as tmp:
