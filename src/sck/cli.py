@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, bsde, controllability, galerkin, sde, systems
 from .config import ConfigError, RunConfig, parse_run_config
-from .exceptions import NumericsError
+from .exceptions import DomainError, NumericsError
 
 # Keys shared by a payload and its CSV header.  _fields reads each key from the
 # attribute of the same name, or from _ATTRIBUTE[key] where the name differs.
@@ -93,11 +93,12 @@ _SHAPES = {"x0": "n", "u": "m", "values": "Km", "K": "mn", "xi": "n", "xi0": "n"
 
 def _simulation(cfg: RunConfig, rows: bool = True):
     """The assembled system and the sim section, once the given x0, control and
-    terminal fit them (else a ConfigError naming the field); K only if ``rows``."""
+    terminals fit them (else a ConfigError naming the field); K only if ``rows``."""
     system, sim = cfg.make_system(), cfg.require("sim")
     sizes = {"n": system.n, "m": system.m, "K": sim.n_steps if rows else None}
     arrays = {} if cfg.x0 is None else {"x0": cfg.x0}
-    for path, spec in (("control", cfg.control), ("terminal", cfg.terminal)):
+    terminals = [(f"apriori.terminals[{i}]", t) for i, t in enumerate(cfg.apriori["terminals"])]
+    for path, spec in [("control", cfg.control), ("terminal", cfg.terminal), *terminals]:
         arrays.update((f"{path}.{k}", v) for k, v in (vars(spec) if spec else {}).items())
     for path, value in arrays.items():
         dims = _SHAPES[path.rpartition(".")[2]]
@@ -188,6 +189,11 @@ def _girsanov(cfg: RunConfig) -> dict:
     x0 = cfg.require("x0")
     lam = cfg.require("girsanov.lambda")
     dts = cfg.require("girsanov.dt_list")
+    for i, dt in enumerate(dts):  # every grid is checked before any simulation
+        try:
+            replace(sim, dt=float(dt))
+        except DomainError as exc:
+            raise ConfigError(f"girsanov.dt_list[{i}]: {exc}") from exc
     points = sde.girsanov_check(system, lam, x0, cfg.control, sim, dts)
     return {
         "lambda": lam,

@@ -249,14 +249,13 @@ def check_condition(
         lams = [float(l) for l in lambdas]
         if not lams:
             raise DomainError("N2 requires a non-empty lambda list")
-        C = sys.C
         for pt in lambda_set(sys, lams, cfg):
             if not pt.in_set:
                 raise DomainError(
                     f"lambda={pt.lam} is outside the joint-dissipativity set "
                     f"(margin {pt.margin:.3e})"
                 )
-        operators = [(lam, sys.A + lam * C) for lam in lams]
+        operators = [(lam, sys.A + lam * sys.C) for lam in lams]
 
     points: list[HautusPoint] = []
     complex_points: list[HautusPoint] = []
@@ -282,17 +281,9 @@ def check_condition(
                 HautusPoint(lam, float(ev.real), sigma, sigma <= cfg.rank_tol, float(ev.imag))
             )
 
-    if explicit_points:
-        op_by_lam = dict(operators)
-        for lam, alpha in explicit_points:
-            lam, alpha = float(lam), float(alpha)
-            if condition == "N1":
-                lam, M = 0.0, sys.A
-            else:
-                M = op_by_lam.get(lam)
-                if M is None:
-                    M = sys.A + lam * sys.C
-            scan(lam, np.vstack([M.T, B_T]), alpha)
+    for lam, alpha in explicit_points or ():
+        lam, M = (0.0, sys.A) if condition == "N1" else (float(lam), sys.A + float(lam) * sys.C)
+        scan(lam, np.vstack([M.T, B_T]), float(alpha))
 
     points.sort(key=lambda p: (p.lam, p.alpha))
     report = HautusReport(condition=condition, points=points, complex_points=complex_points)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from sck import (
     yosida,
 )
 from sck import bsde as bsde_module
+from sck import sde as sde_module
 from sck.cli import run_subcommand
 from sck.config import parse_run_config
 from sck.exceptions import DimensionError, DomainError
@@ -376,6 +378,68 @@ class TestAprioriBound:
         payload = run_subcommand("apriori", parse_run_config(workloads.apriori_config(1)))
         assert payload["k_hat"] >= 1.0
         assert all(sample["ratio"] >= 1.0 for sample in payload["samples"])
+
+
+    def test_exact_energies_match_monte_carlo(self):
+        # E|Y_k|^2 = |y_0(k)|^2 + t_k |y_1(k)|^2 and E|Z_k|^2 = |y_1(k+1)|^2
+        # against the path means of the sampled dual solution, with C != 0
+        rng = np.random.default_rng(71)
+        A, _, C = random_dissipative_system(rng, 3, c_scale=0.8)
+        s = StochasticSystem(A, np.zeros((3, 1)), C=C)
+        cfg = SimConfig(T=0.5, dt=0.01, n_paths=4000, seed=73)
+        xi0, xi1 = rng.standard_normal(3), rng.standard_normal(3)
+        terms = [LinearInWTTerminal(c * xi0, c * xi1) for c in (1.0, 2.0, 3.0, 4.0, 5.0)]
+        rep = apriori_bound_check(s, terms, cfg)
+
+        coef = bsde_module._dual_coefficients(s, terms[0], cfg)
+        sol = solve_dual_bsde(s, terms[0], cfg)
+        steps = np.round(sol.times / cfg.dt).astype(int)
+        exact_y2 = np.sum(coef[steps, 0] ** 2, axis=1) + sol.times * np.sum(coef[steps, 1] ** 2, axis=1)
+        exact_z2 = np.sum(coef[np.minimum(steps + 1, cfg.n_steps), 1] ** 2, axis=1)
+        y2 = np.sum(sol.Y * sol.Y, axis=2)  # (grid, paths)
+        mc_y2 = y2.mean(axis=1)
+        se_y2 = y2.std(axis=1, ddof=1) / np.sqrt(cfg.n_paths)
+        # W_0 = 0 on every path, so the t = 0 row is exact up to round-off
+        assert mc_y2[0] == pytest.approx(exact_y2[0], rel=1e-12)
+        assert se_y2[0] <= 1e-12 * exact_y2[0]
+        assert np.all(np.abs(mc_y2[1:] - exact_y2[1:]) <= 3.0 * se_y2[1:])
+        assert np.allclose(np.mean(np.sum(sol.Z * sol.Z, axis=2), axis=1), exact_z2, rtol=1e-12)
+
+        sample = rep.samples[0]
+        assert sample.xi_mean_square == pytest.approx(exact_y2[-1], rel=1e-12)
+        assert sample.sup_mean_y_square == pytest.approx(np.max(exact_y2), rel=1e-12)
+        assert sample.int_mean_z_square == pytest.approx(
+            np.trapezoid(exact_z2, x=sol.times), rel=1e-12)
+
+    def test_draws_no_noise(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("apriori_bound_check reached a path computation")
+
+        monkeypatch.setattr(sde_module, "_step_normals", forbidden)
+        monkeypatch.setattr(bsde_module, "solve_dual_bsde", forbidden)
+        rng = np.random.default_rng(79)
+        A, _, C = random_dissipative_system(rng, 3, c_scale=0.5)
+        s = StochasticSystem(A, np.zeros((3, 1)), C=C)
+        cfg = SimConfig(T=0.5, dt=0.01, n_paths=500, seed=83)
+        xi0, xi1 = rng.standard_normal(3), rng.standard_normal(3)
+        rep = apriori_bound_check(
+            s, [LinearInWTTerminal(c * xi0, c * xi1) for c in (1.0, 2.0, 3.0, 4.0, 5.0)], cfg)
+        assert rep.k_hat >= 1.0
+
+    def test_payload_ignores_seed_and_path_count(self):
+        rng = np.random.default_rng(89)
+        A, B, C = random_dissipative_system(rng, 3, m=1, c_scale=0.5)
+        raw = {
+            "system": {"matrices": {"A": A.tolist(), "B": B.tolist(), "C": C.tolist()}},
+            "terminal": {"type": "linear_in_wt", "xi0": rng.standard_normal(3).tolist(),
+                         "xi1": rng.standard_normal(3).tolist()},
+        }
+        payloads = {
+            json.dumps(run_subcommand("apriori", parse_run_config(
+                {**raw, "sim": {"T": 0.5, "dt": 0.01, "n_paths": paths, "seed": seed}})))
+            for paths in (2, 5000) for seed in (1, 2**63)
+        }
+        assert len(payloads) == 1
 
 
 class TestApproximationConvergence:

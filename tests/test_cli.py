@@ -300,6 +300,12 @@ class TestErrorStatuses:
          "terminal.xi: expected shape (4,) for (n), got (3,)"),
         ("apriori", {"terminal": {"type": "deterministic", "xi": [0, 1]}},
          "terminal.xi: expected shape (4,) for (n), got (2,)"),
+        ("apriori", {"apriori": {"terminals": [
+            {"type": "deterministic", "xi": [c, 0, 0, 0]} for c in (1, 2)
+        ] + [{"type": "deterministic", "xi": [3, 0]}]}},
+         "apriori.terminals[2].xi: expected shape (4,) for (n), got (2,)"),
+        ("girsanov", {"girsanov": {"lambda": 1.0, "dt_list": [0.01, 0.003]}},
+         "girsanov.dt_list[1]: T/dt = 66.66666666666667 is not an integer"),
     ])
     def test_size_errors_name_the_field(self, tmp_path, capsys, sub, extra, message):
         raw = {**EXAMPLE2, "sim": SMALL_SIM, "x0": [1, 1, 1, 1],
