@@ -323,8 +323,7 @@ def apriori_bound_check(
     steps = _regression_steps(cfg, n_regression_times)
     records, vecs = [], []
     for i, term in enumerate(samples):
-        # the energies of the module docstring on the reporting grid, whose last
-        # point carries Z_{K-1} = xi1; y_1 = 0 pads a deterministic xi
+        # module docstring energies (Z at t_K is Z_{K-1} = xi1); y_1 = 0 pads a deterministic xi
         coef = _dual_coefficients(sys, term, cfg)
         coef = np.pad(coef, ((0, 0), (0, 2 - coef.shape[1]), (0, 0)))
         y2 = np.sum(coef * coef, axis=2)  # |y_j(k)|^2

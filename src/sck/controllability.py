@@ -249,13 +249,14 @@ def check_condition(
         lams = [float(l) for l in lambdas]
         if not lams:
             raise DomainError("N2 requires a non-empty lambda list")
+        C = sys.C
         for pt in lambda_set(sys, lams, cfg):
             if not pt.in_set:
                 raise DomainError(
                     f"lambda={pt.lam} is outside the joint-dissipativity set "
                     f"(margin {pt.margin:.3e})"
                 )
-        operators = [(lam, sys.A + lam * sys.C) for lam in lams]
+        operators = [(lam, sys.A + lam * C) for lam in lams]
 
     points: list[HautusPoint] = []
     complex_points: list[HautusPoint] = []
