@@ -189,12 +189,10 @@ def _girsanov(cfg: RunConfig) -> dict:
     x0 = cfg.require("x0")
     lam = cfg.require("girsanov.lambda")
     dts = cfg.require("girsanov.dt_list")
-    for i, dt in enumerate(dts):  # every grid is checked before any simulation
-        try:
-            replace(sim, dt=float(dt))
-        except DomainError as exc:
-            raise ConfigError(f"girsanov.dt_list[{i}]: {exc}") from exc
-    points = sde.girsanov_check(system, lam, x0, cfg.control, sim, dts)
+    try:
+        points = sde.girsanov_check(system, lam, x0, cfg.control, sim, dts)
+    except DomainError as exc:  # each names dt_list, checked before any simulation
+        raise ConfigError(f"girsanov.{exc}") from exc
     return {
         "lambda": lam,
         "points": [dict(zip(_GIRSANOV_POINT, p)) for p in points],

@@ -1,21 +1,20 @@
 """Algebraic controllability and observability tests.
 
-Two families of checks live here.  Hautus-type tests measure the smallest
-singular value of the stacked pencil [(A + lam*C)^T - alpha*I; B^T] at
-candidate shift values alpha; a rank-deficient pencil certifies an
-unobservable direction and hence non-controllability.  The geometric test
-computes the largest subspace V of Ker B^T that is strictly invariant,
-meaning A^T V is contained in span{V, C^T V}; the system is approximately
-controllable (finite-dimensional criterion) exactly when that subspace is
-trivial.
+Two families of checks live here.  Hautus-type tests measure how close the
+pencil [(A + lam*C)^T - alpha*I; B^T] comes to losing rank at each
+eigenvalue alpha of the transposed operator; a rank-deficient pencil
+certifies an unobservable direction and hence non-controllability.  The
+geometric test computes the largest subspace V of Ker B^T that is strictly
+invariant, meaning A^T V is contained in span{V, C^T V}; the system is
+approximately controllable (finite-dimensional criterion) exactly when that
+subspace is trivial.
 
 The public entry points (``verdict``, ``check_condition``,
-``strict_invariant_subspace`` and ``kalman_hautus_rank``) run their many
-small SVDs on one OpenBLAS thread: at n = 128 a second thread makes each
-about twice as slow.  The pool's previous thread count is restored when the
-call returns or raises, so the rest of the process keeps its setting, and
-the results are byte-identical to a run on the default pool.  Under a BLAS
-that is not OpenBLAS the pool is left alone.
+``strict_invariant_subspace`` and ``kalman_hautus_rank``) run on one
+OpenBLAS thread: at n = 128 a second thread makes an eigen-decomposition or
+a small SVD slower, up to several times.  The previous thread count is
+restored when the call returns or raises.  Under a BLAS that is not
+OpenBLAS the pool is left alone.
 """
 
 from __future__ import annotations
@@ -97,8 +96,8 @@ class HautusPoint:
     alpha: float
     sigma_min: float
     violated: bool
-    # populated only on the complex-spectrum branch; such findings sit
-    # outside the real-alpha condition and are reported separately
+    # nonzero only at a complex eigenvalue; such findings sit outside the
+    # real-alpha condition and are reported separately
     alpha_im: float = 0.0
 
 
@@ -109,8 +108,9 @@ class HautusReport:
     ``points`` holds the real-shift scan (and any explicit user points),
     sorted by (lam, alpha).  ``complex_points`` holds findings at complex
     eigenvalue shifts, flagged apart because the underlying condition
-    quantifies over real alpha only.  ``witness`` is a unit vector achieving
-    near-zero pencil residual at the most violated point, when one exists.
+    quantifies over real alpha only.  ``witness`` is a unit vector in the
+    pencil's near-null space at ``witness_point``, the first violated point,
+    when one exists: the eigenvector there, or the pencil's singular vector.
     """
 
     condition: str
@@ -132,25 +132,59 @@ class HautusReport:
         return min((p.sigma_min for p in self.points), default=float("inf"))
 
 
-def _shifted(S0: np.ndarray, alpha: complex) -> np.ndarray:
-    """The pencil [M^T - alpha I; B^T], built from S0 = [M^T; B^T]; complex
-    when alpha is."""
-    S = S0.astype(np.result_type(S0, alpha))
-    d = np.arange(S.shape[1])
-    S[d, d] -= alpha
-    return S
+_ROUNDOFF = 16 * np.finfo(float).eps
 
 
-def _sigma_min(S0: np.ndarray, alpha: complex) -> float:
-    """Smallest singular value of the pencil at alpha, without singular vectors."""
-    return float(np.linalg.svd(_shifted(S0, alpha), compute_uv=False)[-1])
+def _negligible(margin: float, scale: float) -> bool:
+    """The one flag rule of the scans: a margin at or below 16 eps times its
+    scale is round-off, so the pencil is taken to lose rank there.  The scale
+    is ||B||_2 times an eigenvector's conditioning, or ||S||_2 for a pencil S."""
+    return bool(margin <= _ROUNDOFF * scale)
 
 
-def _witness(S0: np.ndarray, alpha: float) -> np.ndarray:
-    """Unit real part of the pencil's smallest right-singular vector at alpha."""
-    _, _, vh = np.linalg.svd(_shifted(S0, alpha))
-    w = np.real(vh[-1].conj())
-    return w / np.linalg.norm(w)
+def _pencil(M_T: np.ndarray, B_T: np.ndarray, alpha: complex):
+    """(sigma_min, its unit right-singular vector, ||S||_2) of the pencil
+    S = [M^T - alpha I; B^T]."""
+    S = np.vstack([M_T - alpha * np.eye(len(M_T)), B_T])
+    _, s, vh = np.linalg.svd(S, full_matrices=False)
+    return float(s[-1]), vh[-1].conj(), float(s[0])
+
+
+def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0):
+    """(HautusPoint, w) per eigenvalue of M^T, from one eigen-decomposition.
+
+    A simple eigenvalue's sigma is |B^T w| for its unit eigenvector w, on the
+    scale ||B||_2 (1 + ||M|| / gap) of w's round-off, with ||M|| the bound
+    sqrt(||M||_1 ||M||_inf).  Eigenvalues closer than sqrt(16 eps) ||M|| are
+    one repeated eigenvalue, tested on the pencil at their mean.  A point is
+    real (alpha_im = 0) when its eigenvalues are their own conjugates.
+    """
+    ev, V = np.linalg.eig(M_T)
+    norm_M = np.sqrt(np.linalg.norm(M_T, 1) * np.linalg.norm(M_T, np.inf))
+    dist = np.abs(ev[:, None] - ev)
+    np.fill_diagonal(dist, np.inf)
+    gap, norm_B = dist.min(axis=1), np.linalg.norm(B_T, 2)
+    margins = np.linalg.norm(B_T @ V, axis=0)
+    near, label = dist <= np.sqrt(_ROUNDOFF) * norm_M, np.arange(len(ev))
+    while True:  # each eigenvalue takes the least label of its cluster
+        reach = np.where(near, label, len(ev)).min(axis=1)
+        if (reach >= label).all():
+            break
+        label = np.minimum(reach, label)
+    out = []
+    for k in np.unique(label):
+        members = np.flatnonzero(label == k)
+        cluster, i = ev[members], members[0]
+        alpha = cluster.mean()
+        if cluster.imag.min() <= 0 <= cluster.imag.max():
+            alpha = alpha.real
+        if len(cluster) > 1:
+            sigma, w, scale = _pencil(M_T, B_T, alpha)
+        else:
+            sigma, w, scale = float(margins[i]), V[:, i], norm_B * (1.0 + norm_M / gap[i])
+        out.append((HautusPoint(lam, float(alpha.real), sigma, _negligible(sigma, scale),
+                                float(alpha.imag)), w.real))
+    return out
 
 
 @_one_blas_thread()
@@ -162,16 +196,14 @@ def kalman_hautus_rank(
 ) -> tuple[bool, float]:
     """Deterministic Hautus rank test of the pair (A, B).
 
-    Evaluates the smallest singular value of [s I - A^T; B^T] at every
-    supplied sample and at every eigenvalue of A^T (appended automatically;
-    the pencil can only lose rank there, so this is exhaustive).  Full rank
-    everywhere is the classical controllability condition.
+    The pencil [s I - A^T; B^T] can lose rank only at an eigenvalue of A^T,
+    so one eigen-decomposition covers every s; each supplied sample adds one
+    pencil SVD.  Full rank everywhere is the classical controllability
+    condition.  Flags follow ``_negligible``; no tolerance of ``cfg`` enters.
 
     Returns
     -------
     (full_rank_everywhere, min_sigma)
-        ``full_rank_everywhere`` uses the scale-aware threshold
-        rank_tol * (1 + ||A||).
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -179,37 +211,11 @@ def kalman_hautus_rank(
         raise DimensionError("A must be square")
     if B.shape[0] != A.shape[0]:
         raise DimensionError("B must have as many rows as A")
-    samples = [complex(s) for s in s_samples]
-    samples.extend(np.linalg.eigvals(A.T))
-    threshold = cfg.rank_tol * (1.0 + np.linalg.norm(A, 2))
-    S0 = np.vstack([A.T, B.T])
-    min_sigma = min((_sigma_min(S0, s) for s in samples), default=float("inf"))
-    return min_sigma > threshold, min_sigma
-
-
-def _real_shift_candidates(M_T: np.ndarray, zero_tol: float):
-    """Split spectrum of M_T into real negative shifts and complex ones.
-
-    Returns (real_alphas, complex_alphas); eigenvalues with nonnegative real
-    part are outside the quantifier range and dropped.  Near-duplicates are
-    merged so repeated eigenvalues produce one scan point.
-    """
-    eigs = np.linalg.eigvals(M_T)
-    real, cplx = [], []
-    for ev in eigs:
-        if ev.real >= 0:
-            continue
-        if abs(ev.imag) <= zero_tol:
-            real.append(ev.real)
-        elif ev.imag > 0:  # keep one of each conjugate pair
-            cplx.append(ev)
-    real.sort()
-    merged = []
-    for a in real:
-        if merged and abs(a - merged[-1]) <= zero_tol * (1.0 + abs(merged[-1])):
-            continue
-        merged.append(a)
-    return merged, sorted(cplx, key=lambda z: (z.real, z.imag))
+    found = [(p.sigma_min, p.violated) for p, _ in _spectral_points(A.T, B.T)]
+    for s in s_samples:
+        sigma, _, scale = _pencil(A.T, B.T, complex(s))
+        found.append((sigma, _negligible(sigma, scale)))
+    return not any(v for _, v in found), min((s for s, _ in found), default=float("inf"))
 
 
 @_one_blas_thread()
@@ -227,12 +233,13 @@ def check_condition(
     ``lambdas`` the pencil is [(A + lam*C)^T - alpha I; B^T]; every lam must
     belong to the joint-dissipativity set, which is verified first.
 
-    The shift alpha ranges over the negative real eigenvalues of the
-    transposed operator: the stacked pencil can only lose rank at an
-    eigenvalue, so scanning the spectrum is exhaustive.  Complex eigenvalues
-    with negative real part are tested on the complex pencil and reported in
-    ``complex_points``.  ``explicit_points`` adds user-chosen (lam, alpha)
-    evaluations to the report (for N1 the lam entry is ignored).
+    The pencil can only lose rank at an eigenvalue of the operator, so one
+    eigen-decomposition per operator is exhaustive: each real negative
+    eigenvalue is a point, with sigma_min = |B^T v| for its unit eigenvector
+    v, or the pencil's sigma_min at a repeated eigenvalue; complex ones go to
+    ``complex_points``.  ``explicit_points`` adds (lam, alpha) pencil
+    evaluations (for N1 the lam entry is ignored).  Flags follow
+    ``_negligible``; ``cfg`` enters only the lambda test.
 
     Raises
     ------
@@ -258,39 +265,22 @@ def check_condition(
                 )
         operators = [(lam, sys.A + lam * C) for lam in lams]
 
-    points: list[HautusPoint] = []
-    complex_points: list[HautusPoint] = []
-    best = None  # (sigma, S0, alpha, point) at the most violated real point
-
-    def scan(lam, S0, alpha):
-        nonlocal best
-        sigma = _sigma_min(S0, alpha)
-        violated = sigma <= cfg.rank_tol
-        points.append(HautusPoint(lam, alpha, sigma, violated))
-        if violated and (best is None or sigma < best[0]):
-            best = (sigma, S0, alpha, points[-1])
-
-    for lam, M in operators:
-        M_T = M.T
-        S0 = np.vstack([M_T, B_T])
-        real_alphas, complex_alphas = _real_shift_candidates(M_T, cfg.zero_tol)
-        for alpha in real_alphas:
-            scan(lam, S0, float(alpha))
-        for ev in complex_alphas:
-            sigma = _sigma_min(S0, ev)
-            complex_points.append(
-                HautusPoint(lam, float(ev.real), sigma, sigma <= cfg.rank_tol, float(ev.imag))
-            )
-
+    found = [(p, w) for lam, M in operators for p, w in _spectral_points(M.T, B_T, lam)
+             if p.alpha < 0 and p.alpha_im >= 0]  # one of each conjugate pair
     for lam, alpha in explicit_points or ():
         lam, M = (0.0, sys.A) if condition == "N1" else (float(lam), sys.A + float(lam) * sys.C)
-        scan(lam, np.vstack([M.T, B_T]), float(alpha))
+        sigma, w, scale = _pencil(M.T, B_T, float(alpha))
+        found.append((HautusPoint(lam, float(alpha), sigma, _negligible(sigma, scale)), w))
+    found.sort(key=lambda pw: (pw[0].lam, pw[0].alpha, pw[0].alpha_im))
 
-    points.sort(key=lambda p: (p.lam, p.alpha))
-    report = HautusReport(condition=condition, points=points, complex_points=complex_points)
-    if best is not None:
-        _, S0, alpha, report.witness_point = best
-        report.witness = _witness(S0, alpha)
+    report = HautusReport(condition=condition,
+                          points=[p for p, _ in found if p.alpha_im == 0],
+                          complex_points=[p for p, _ in found if p.alpha_im > 0])
+    # the first violated real point in (lam, alpha) order: round-off in the
+    # flagged sigmas cannot move this choice
+    report.witness_point, report.witness = next(
+        ((p, w / np.linalg.norm(w)) for p, w in found if p.violated and p.alpha_im == 0),
+        (None, None))
     return report
 
 

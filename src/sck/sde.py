@@ -376,12 +376,17 @@ def girsanov_check(
         raise DomainError("dt_list must be non-empty")
     if any(d2 >= d1 for d1, d2 in zip(dts, dts[1:])):
         raise DomainError("dt_list must be strictly decreasing")
+    runs = []
+    for i, dt in enumerate(dts):  # every grid is checked before any simulation
+        try:
+            runs.append(replace(cfg, dt=dt))
+        except DomainError as exc:
+            raise DomainError(f"dt_list[{i}]: {exc}") from exc
 
     eye = np.eye(sys.n)
     C2 = sys.C + lam * eye
     out = []
-    for dt in dts:
-        run = replace(cfg, dt=dt)
+    for dt, run in zip(dts, runs):
         F2 = eye + dt * (sys.A + lam * sys.C)
         Xt = np.repeat(x0[:, None], run.n_paths, axis=1)
         Xt_next, noise = np.empty_like(Xt), np.empty_like(Xt)

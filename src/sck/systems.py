@@ -63,6 +63,9 @@ class ToleranceConfig:
     rank_tol  singular-value rank threshold (> 0)
     zero_tol  vector-nullity / commutator threshold (> 0)
     eps_a     offset above 1/2 used in the joint-dissipativity test (> 0)
+
+    rank_tol and zero_tol serve the subspace sweep, the commuting check and
+    b-coeffs; the Hautus pencil scans use a threshold scaled to their inputs.
     """
 
     psd_tol: float = 1e-10

@@ -148,68 +148,126 @@ def parity_system(N):
 
 
 class TestParityScan:
-    N = 64
-    LAMBDAS = [-1.0, -0.5, 0.5, 1.0]
+    SIZES = [64, 128, 256]
+    LAMBDAS = [-2.0, -1.0, -0.5, 0.5, 1.0, 1.5]
 
     @pytest.fixture(scope="class")
     def scans(self):
-        s = parity_system(self.N)
-        return s, check_condition(s, [], "N1"), check_condition(s, self.LAMBDAS, "N2")
+        out = []
+        for N in self.SIZES:
+            s = parity_system(N)
+            out.append((s, check_condition(s, [], "N1"), check_condition(s, self.LAMBDAS, "N2")))
+        return out
 
     def test_each_operator_flags_half_the_modes(self, scans):
-        _, n1, n2 = scans
-        assert len(n1.violations) == self.N // 2
+        for s, n1, n2 in scans:
+            assert len(n1.violations) == s.n // 2
+            for lam in self.LAMBDAS:
+                assert sum(p.violated for p in n2.points if p.lam == lam) == s.n // 2
+
+    def test_rotated_system_flags_half_the_modes(self):
+        # a rotation keeps the exact answer but spreads the round-off of the
+        # uncontrolled margins; the threshold must follow each eigenvector's
+        # conditioning, not ||B|| alone
+        N = 128
+        s = parity_system(N)
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((N, N)))
+        r = StochasticSystem(Q @ s.A @ Q.T, Q @ s.B, C=Q @ s.C @ Q.T)
+        assert len(check_condition(r, [], "N1").violations) == N // 2
+        n2 = check_condition(r, self.LAMBDAS, "N2")
         for lam in self.LAMBDAS:
-            assert sum(p.violated for p in n2.points if p.lam == lam) == self.N // 2
+            assert sum(p.violated for p in n2.points if p.lam == lam) == N // 2
 
     def test_witness_lies_on_even_modes(self, scans):
-        s, n1, n2 = scans
-        for rep in (n1, n2):
-            p, w = rep.witness_point, rep.witness
-            assert p.violated
-            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
-            # index 0 is sin(pi x): the odd sine modes sit at even indices
-            assert np.linalg.norm(w[0::2]) <= 1e-10
-            M = s.A + p.lam * s.C
-            resid = np.linalg.norm(M.T @ w - p.alpha * w) + np.linalg.norm(s.B.T @ w)
-            assert resid <= 10 * ToleranceConfig().rank_tol
+        for s, n1, n2 in scans:
+            for rep in (n1, n2):
+                p, w = rep.witness_point, rep.witness
+                assert p.violated
+                assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+                # index 0 is sin(pi x): the odd sine modes sit at even indices
+                assert np.linalg.norm(w[0::2]) <= 1e-10
+                M = s.A + p.lam * s.C
+                resid = np.linalg.norm(M.T @ w - p.alpha * w) + np.linalg.norm(s.B.T @ w)
+                assert resid <= 10 * ToleranceConfig().rank_tol
 
-    def test_sigma_matches_full_svd(self, scans):
-        s, n1, n2 = scans
+    def test_sigma_is_an_eigenvector_margin(self, scans):
+        # every parity eigenvalue is simple: its sigma is |B^T w| for the unit
+        # eigenvector w of an independent eig, up to that eigenvector's own
+        # round-off eps ||M|| / gap; the residual of (alpha, w) is at most
+        # n eps ||M||, the bound on the product M^T w itself
         eps = np.finfo(float).eps
-        for p in n1.points + n2.points:
-            M = s.A + p.lam * s.C
-            S = np.vstack([M.T - p.alpha * np.eye(self.N), s.B.T])
-            svals = np.linalg.svd(S)[1]
-            assert abs(p.sigma_min - svals[-1]) <= 16 * eps * svals[0]
+        for s, n1, n2 in scans:
+            norm_B = np.linalg.norm(s.B, 2)
+            for lam in [0.0] + self.LAMBDAS:
+                points = [p for p in (n1.points if lam == 0.0 else n2.points) if p.lam == lam]
+                assert len(points) == s.n
+                M_T = (s.A + lam * s.C).T
+                norm_M = np.linalg.norm(M_T, 2)
+                ev, V = np.linalg.eig(M_T)
+                for p in points:
+                    i = np.argmin(np.abs(ev - p.alpha))
+                    gap = np.partition(np.abs(ev - ev[i]), 1)[1]
+                    w = V[:, i]
+                    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+                    assert np.linalg.norm(M_T @ w - p.alpha * w) <= s.n * eps * norm_M
+                    assert abs(p.sigma_min - np.linalg.norm(s.B.T @ w)) <= (
+                        16 * eps * norm_B * (1 + norm_M / gap))
 
 
 class TestScanCost:
     @pytest.fixture
-    def svd_calls(self, monkeypatch):
-        """compute_uv of every np.linalg.svd call, in order."""
+    def calls(self, monkeypatch):
+        """Names of the np.linalg.eig and np.linalg.svd calls, in order."""
         calls = []
-        svd = np.linalg.svd
+        for name in ("eig", "svd"):
+            def counting(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(*args, **kwargs)
 
-        def counting(a, full_matrices=True, compute_uv=True, *args, **kwargs):
-            calls.append(compute_uv)
-            return svd(a, full_matrices, compute_uv, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+            monkeypatch.setattr(np.linalg, name, counting)
         return calls
 
-    def test_violations_take_one_svd_with_vectors(self, svd_calls):
+    def test_svds_only_off_the_simple_spectrum(self, calls):
+        # one eig per operator; pencil SVDs only at the double eigenvalue
+        # -4 pi^2 of A - 3 pi^2 C and at the two explicit points
         lam = -3 * PI2
-        rep = check_condition(example2_system(), [lam], "N2",
+        rep = check_condition(example2_system(), [lam, 0.0], "N2",
                               explicit_points=[(lam, -4 * PI2), (lam, -1.0)])
         assert len(rep.violations) == 2
-        assert svd_calls.count(True) == 1
-        assert svd_calls.count(False) == len(rep.points) + len(rep.complex_points)
+        assert calls.count("eig") == 2
+        assert calls.count("svd") == 3
 
-    def test_passing_scan_takes_no_vectors(self, svd_calls):
+    def test_simple_spectrum_takes_one_eig_and_no_svd(self, calls):
         rep = check_condition(example2_system(), [], "N1")
         assert rep.passed and rep.witness is None
-        assert svd_calls == [False] * len(rep.points)
+        assert calls == ["eig"]
+        # kalman_hautus_rank: one eig, and one pencil SVD per sample
+        kalman_hautus_rank(np.diag([-1.0, -2.0]), np.ones((2, 1)), s_samples=[0.5j])
+        assert calls == ["eig", "eig", "svd"]
+
+
+class TestJordanBlocks:
+    """A Jordan block of A is controllable through its last Jordan vector and
+    not through its first, the eigenvector of A.  Rotated, the computed
+    eigenvalues split by about eps^(1/size), and the eigenvalue condition
+    number is about 1e10 (size 3) to 1e15 (size 2)."""
+
+    @pytest.mark.parametrize("size, alpha", [(2, -1.0), (3, -2.0)])
+    def test_flag_follows_the_jordan_vector(self, size, alpha):
+        J = alpha * np.eye(size) + np.eye(size, k=1)
+        rotations = [np.eye(size)] + [
+            np.linalg.qr(np.random.default_rng(seed).standard_normal((size, size)))[0]
+            for seed in range(20)
+        ]
+        for Q in rotations:
+            for j, controllable in ((size - 1, True), (0, False)):
+                s = StochasticSystem(Q @ J @ Q.T, Q[:, [j]])
+                rep = check_condition(s, [], "N1")
+                assert rep.passed == controllable
+                assert kalman_hautus_rank(s.A, s.B)[0] == controllable
+                if not controllable:
+                    # the uncontrolled direction is the eigenvector of A^T
+                    assert abs(rep.witness @ Q[:, -1]) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.skipif(controllability._blas_threads() is None,
@@ -243,7 +301,7 @@ class TestOneBlasThread:
         return seen
 
     def test_scans_run_on_one_thread(self, threads, monkeypatch):
-        seen = self.record_threads(monkeypatch, threads, "_sigma_min")
+        seen = self.record_threads(monkeypatch, threads, "_spectral_points")
         check_condition(example2_system(), [-3 * PI2], "N2")
         kalman_hautus_rank(np.diag([-1.0, -2.0]), np.ones((2, 1)))
         assert seen and set(seen) == {1}
@@ -275,7 +333,7 @@ class TestOneBlasThread:
 
     def test_no_pool_is_a_no_op(self, threads, monkeypatch):
         monkeypatch.setattr(controllability, "_blas_threads", lambda: None)
-        seen = self.record_threads(monkeypatch, threads, "_sigma_min")
+        seen = self.record_threads(monkeypatch, threads, "_spectral_points")
         check_condition(example2_system(), [], "N1")
         assert seen and set(seen) == {2}
         assert threads() == 2
@@ -431,12 +489,18 @@ class TestVerdict:
             assert f"({trivial}, {passed}) -> {tag}, warning={warn}" in doc
 
     def test_control_scaling_keeps_classification(self):
+        # B -> b B, and M -> c M as A -> c A, C -> sqrt(c) C at lam ->
+        # sqrt(c) lam, which keeps every lam in the joint-dissipativity set
+        def flags(s, lams):
+            reps = [check_condition(s, [], "N1"), check_condition(s, lams, "N2")]
+            return [p.violated for r in reps for p in r.points + r.complex_points]
+
         rng = np.random.default_rng(14)
-        for _ in range(5):
-            A, B, C = random_dissipative_system(rng, 3, c_scale=0.5)
-            s1 = StochasticSystem(A, B, C=C)
-            s2 = StochasticSystem(A, 100.0 * B, C=C)
-            r1 = check_condition(s1, [0.0], "N2")
-            r2 = check_condition(s2, [0.0], "N2")
-            for p1, p2 in zip(r1.points, r2.points):
-                assert p1.violated == p2.violated
+        cases = [(StochasticSystem(A, B, C=C), [0.0])
+                 for A, B, C in (random_dissipative_system(rng, 3, c_scale=0.5) for _ in range(5))]
+        cases += [(example2_system(), [-3 * PI2]), (parity_system(32), [-1.0, 1.5])]
+        for s, lams in cases:
+            expected = flags(s, lams)
+            for b, c in [(100.0, 1.0), (1e-3, 1.0), (1e3, 1.0), (1.0, 1e-3), (1.0, 1e3)]:
+                t = StochasticSystem(c * s.A, b * s.B, C=np.sqrt(c) * s.C)
+                assert flags(t, [np.sqrt(c) * lam for lam in lams]) == expected

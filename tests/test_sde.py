@@ -372,7 +372,11 @@ class TestGirsanov:
         errs = [e for _, e in pts]
         assert errs[0] > errs[2] > 0.0
 
-    def test_dt_list_validation(self):
+    def test_dt_list_validation(self, monkeypatch):
+        def no_noise(*args):
+            raise AssertionError("noise drawn before dt_list was checked")
+
+        monkeypatch.setattr(sde, "_step_normals", no_noise)
         s = scalar_system()
         cfg = SimConfig(T=1.0, dt=0.01, n_paths=10, seed=0)
         with pytest.raises(DomainError):
@@ -382,6 +386,10 @@ class TestGirsanov:
         with pytest.raises(DomainError):
             # 0.3 does not divide the horizon
             girsanov_check(s, 0.5, [1.0], ZeroControl(), cfg, [0.3])
+        # a later entry is checked before the first one is simulated
+        short = SimConfig(T=0.1, dt=0.01, n_paths=10, seed=0)
+        with pytest.raises(DomainError, match=r"^dt_list\[1\]: T/dt = 33.333333333333336 is"):
+            girsanov_check(s, 0.5, [1.0], ZeroControl(), short, [0.01, 0.003])
 
     def test_x0_length_checked_before_simulation(self, monkeypatch):
         s = StochasticSystem(np.diag([-1.0, -2.0]), np.ones((2, 1)))
