@@ -138,7 +138,8 @@ _ROUNDOFF = 16 * np.finfo(float).eps
 def _negligible(margin: float, scale: float) -> bool:
     """The one flag rule of the scans: a margin at or below 16 eps times its
     scale is round-off, so the pencil is taken to lose rank there.  The scale
-    is ||B||_2 times an eigenvector's conditioning, or ||S||_2 for a pencil S."""
+    is ||B||_2 times an eigenvector's conditioning, or ||S||_2 for a pencil S,
+    whose sigma at a cluster's mean enters net of the cluster's radius."""
     return bool(margin <= _ROUNDOFF * scale)
 
 
@@ -155,17 +156,27 @@ def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0):
 
     A simple eigenvalue's sigma is |B^T w| for its unit eigenvector w, on the
     scale ||B||_2 (1 + ||M|| / gap) of w's round-off, with ||M|| the bound
-    sqrt(||M||_1 ||M||_inf).  Eigenvalues closer than sqrt(16 eps) ||M|| are
-    one repeated eigenvalue, tested on the pencil at their mean.  A point is
-    real (alpha_im = 0) when its eigenvalues are their own conjugates.
+    sqrt(||M||_1 ||M||_inf).  Two eigenvalues closer than 32 eps ||M|| kappa,
+    kappa the smaller of their condition numbers, are within round-off of
+    each other: one repeated or defective eigenvalue, tested on the pencil at
+    the cluster's mean.  There an uncontrolled member's eigenvector leaves
+    sigma at most its distance from the mean, so sigma is judged net of the
+    cluster's radius.  A point is real (alpha_im = 0) when its eigenvalues
+    are their own conjugates.
     """
     ev, V = np.linalg.eig(M_T)
     norm_M = np.sqrt(np.linalg.norm(M_T, 1) * np.linalg.norm(M_T, np.inf))
+    try:
+        left = np.linalg.inv(V)
+    except np.linalg.LinAlgError:  # exactly coincident eigenvectors
+        left = np.linalg.pinv(V)
+    with np.errstate(over="ignore"):
+        kappa = np.linalg.norm(left, axis=1)  # 1 / |y^H v| for the left y
     dist = np.abs(ev[:, None] - ev)
     np.fill_diagonal(dist, np.inf)
     gap, norm_B = dist.min(axis=1), np.linalg.norm(B_T, 2)
-    margins = np.linalg.norm(B_T @ V, axis=0)
-    near, label = dist <= np.sqrt(_ROUNDOFF) * norm_M, np.arange(len(ev))
+    near = dist <= 2 * _ROUNDOFF * norm_M * np.minimum(kappa[:, None], kappa)
+    label = np.arange(len(ev))
     while True:  # each eigenvalue takes the least label of its cluster
         reach = np.where(near, label, len(ev)).min(axis=1)
         if (reach >= label).all():
@@ -180,26 +191,23 @@ def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0):
             alpha = alpha.real
         if len(cluster) > 1:
             sigma, w, scale = _pencil(M_T, B_T, alpha)
+            flag = _negligible(sigma - np.abs(cluster - alpha).max(), scale)
         else:
-            sigma, w, scale = float(margins[i]), V[:, i], norm_B * (1.0 + norm_M / gap[i])
-        out.append((HautusPoint(lam, float(alpha.real), sigma, _negligible(sigma, scale),
-                                float(alpha.imag)), w.real))
+            sigma, w = float(np.linalg.norm(B_T @ V[:, i])), V[:, i]
+            flag = _negligible(sigma, norm_B * (1.0 + norm_M / gap[i]))
+        out.append((HautusPoint(lam, float(alpha.real), sigma, flag, float(alpha.imag)),
+                    w.real))
     return out
 
 
 @_one_blas_thread()
-def kalman_hautus_rank(
-    A,
-    B,
-    s_samples: Sequence[complex] = (),
-    cfg: ToleranceConfig = ToleranceConfig(),
-) -> tuple[bool, float]:
+def kalman_hautus_rank(A, B, s_samples: Sequence[complex] = ()) -> tuple[bool, float]:
     """Deterministic Hautus rank test of the pair (A, B).
 
     The pencil [s I - A^T; B^T] can lose rank only at an eigenvalue of A^T,
     so one eigen-decomposition covers every s; each supplied sample adds one
     pencil SVD.  Full rank everywhere is the classical controllability
-    condition.  Flags follow ``_negligible``; no tolerance of ``cfg`` enters.
+    condition.  Flags follow ``_negligible``.
 
     Returns
     -------
@@ -236,8 +244,8 @@ def check_condition(
     The pencil can only lose rank at an eigenvalue of the operator, so one
     eigen-decomposition per operator is exhaustive: each real negative
     eigenvalue is a point, with sigma_min = |B^T v| for its unit eigenvector
-    v, or the pencil's sigma_min at a repeated eigenvalue; complex ones go to
-    ``complex_points``.  ``explicit_points`` adds (lam, alpha) pencil
+    v, or the pencil's sigma_min at a repeated or defective one; complex
+    ones go to ``complex_points``.  ``explicit_points`` adds (lam, alpha) pencil
     evaluations (for N1 the lam entry is ignored).  Flags follow
     ``_negligible``; ``cfg`` enters only the lambda test.
 

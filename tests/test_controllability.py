@@ -55,6 +55,29 @@ class TestKalmanHautusRank:
         ok, _ = kalman_hautus_rank(A, np.ones((2, 1)), s_samples=[0.5 + 1j, -3.0])
         assert ok
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_chain_of_integrators(self, n):
+        # a nilpotent Jordan block: its eigenvector matrix is singular to
+        # working precision, or exactly (n = 3)
+        A = np.eye(n, k=1)
+        ok, sigma = kalman_hautus_rank(A, np.eye(n)[:, [n - 1]])
+        assert ok and sigma == pytest.approx(1.0)
+        assert not kalman_hautus_rank(A, np.eye(n)[:, [0]])[0]
+
+    def test_close_eigenvalues_far_from_the_norm_are_tested_apart(self):
+        # -1 and -1.001 are distinct to round-off even though ||A|| = 1e6;
+        # the mode at -1.001 is uncontrolled unless B reaches it
+        A = np.diag([-1e6, -1.0, -1.001])
+        Q = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0]
+        for R in (np.eye(3), Q):
+            for b, controllable in (((1.0, 1.0, 0.0), False), ((1.0, 1.0, 1.0), True)):
+                s = StochasticSystem(R @ A @ R.T, R @ np.array(b)[:, None])
+                assert kalman_hautus_rank(s.A, s.B)[0] == controllable
+                rep = check_condition(s, [], "N1")
+                assert rep.passed == controllable
+                if not controllable:
+                    assert rep.witness_point.alpha == pytest.approx(-1.001)
+
 
 class TestCheckCondition:
     def test_example2_n1_clean(self):
@@ -249,10 +272,11 @@ class TestScanCost:
 class TestJordanBlocks:
     """A Jordan block of A is controllable through its last Jordan vector and
     not through its first, the eigenvector of A.  Rotated, the computed
-    eigenvalues split by about eps^(1/size), and the eigenvalue condition
-    number is about 1e10 (size 3) to 1e15 (size 2)."""
+    eigenvalues split by up to about eps^(1/size), mostly off the real axis,
+    with eigenvalue condition numbers of 3e7 to 1e16 (size 2), 4e9 to 4e10
+    (size 3) and 6e10 to 4e11 (size 4)."""
 
-    @pytest.mark.parametrize("size, alpha", [(2, -1.0), (3, -2.0)])
+    @pytest.mark.parametrize("size, alpha", [(2, -1.0), (3, -2.0), (4, -2.0)])
     def test_flag_follows_the_jordan_vector(self, size, alpha):
         J = alpha * np.eye(size) + np.eye(size, k=1)
         rotations = [np.eye(size)] + [
@@ -268,6 +292,29 @@ class TestJordanBlocks:
                 if not controllable:
                     # the uncontrolled direction is the eigenvector of A^T
                     assert abs(rep.witness @ Q[:, -1]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_block_beside_a_distinct_eigenvalue(self):
+        # the block's huge condition number must not pull the simple
+        # eigenvalue -3 into its cluster
+        A = np.zeros((3, 3))
+        A[:2, :2] = -np.eye(2) + np.eye(2, k=1)
+        A[2, 2] = -3.0
+        for b, controllable in (((0.0, 1.0, 1.0), True), ((0.0, 1.0, 0.0), False),
+                                ((1.0, 0.0, 1.0), False)):
+            s = StochasticSystem(A, np.array(b)[:, None])
+            assert check_condition(s, [], "N1").passed == controllable
+            assert kalman_hautus_rank(s.A, s.B)[0] == controllable
+
+    @pytest.mark.parametrize("eta", [1e-4, 1e-8])
+    def test_near_defective_pair(self, eta):
+        # two distinct eigenvalues -1 and -1 - eta with nearly parallel
+        # eigenvectors; at eta = 1e-8 they are within round-off of each
+        # other, and the mean of the pair sits eta / 2 from the uncontrolled one
+        A = np.array([[-1.0, 1.0], [0.0, -1.0 - eta]])
+        for b, controllable in (((1.0, 0.0), False), ((0.0, 1.0), True), ((1.0, 1.0), True)):
+            s = StochasticSystem(A, np.array(b)[:, None])
+            assert check_condition(s, [], "N1").passed == controllable
+            assert kalman_hautus_rank(s.A, s.B)[0] == controllable
 
 
 @pytest.mark.skipif(controllability._blas_threads() is None,
