@@ -129,7 +129,7 @@ def _check_n2(cfg: RunConfig) -> dict:
 
 def _invariant_subspace(cfg: RunConfig) -> dict:
     system = cfg.make_system()
-    basis = controllability.strict_invariant_subspace(system.A, system.C, system.B, cfg.tolerances)
+    basis = controllability.strict_invariant_subspace(system.A, system.C, system.B)
     return _fields(basis, "dim", "basis")
 
 
@@ -165,7 +165,7 @@ def _ellipticity(cfg: RunConfig) -> dict:
 
 
 def _b_coeffs(cfg: RunConfig) -> dict:
-    modes = galerkin.b_coefficient_test(cfg.make_system(), cfg.tolerances)
+    modes = galerkin.b_coefficient_test(cfg.make_system())
     return {"modes": [_fields(m, *_B_MODE) for m in modes]}
 
 

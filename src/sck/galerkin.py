@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .controllability import _negligible
 from .exceptions import DimensionError, DomainError, EllipticityError, EvaluationError
 from .systems import StochasticSystem, ToleranceConfig, as_vector
 
@@ -234,18 +235,19 @@ class ModeCoefficient:
     near_zero: bool
 
 
-def b_coefficient_test(
-    sys: StochasticSystem,
-    cfg: ToleranceConfig = ToleranceConfig(),
-) -> list[ModeCoefficient]:
+def b_coefficient_test(sys: StochasticSystem) -> list[ModeCoefficient]:
     """Project B onto the eigenbasis of a self-adjoint drift operator.
 
     A mode whose projection is (numerically) zero certifies an uncontrolled
     eigendirection: the necessary spectral condition fails and the system
-    cannot be approximately controllable.  Eigenvalues that cluster within
-    rank_tol of each other are treated as one eigenspace: the near-zero flag
-    is decided on the projection of B onto the whole cluster, since
-    individual eigenvectors are not well defined there.
+    cannot be approximately controllable (Hautus 1969; Fattorini 1966).  The
+    rules are the Hautus scans' with every eigenvector condition number 1,
+    since ``eigh`` returns orthonormal vectors.  Sorted eigenvalues at most
+    32 eps ||A||_2 apart are one eigenspace, whose individual eigenvectors
+    are not well defined: the near-zero flag is decided on the projection of
+    B onto the whole cluster, ``_negligible`` on ||B||_2 (1 + ||A||_2 / gap),
+    the round-off of a cluster at distance ``gap`` from the rest of the
+    spectrum.
 
     ``coefficient`` is the signed projection for a single control column
     (m = 1) and the row norm otherwise.
@@ -255,8 +257,8 @@ def b_coefficient_test(
     DomainError  if A is not symmetric (no orthonormal eigenbasis assumed).
     """
     A, B = sys.A, sys.B
-    scale = 1.0 + np.linalg.norm(A, 2)
-    if np.linalg.norm(A - A.T, 2) > cfg.zero_tol * scale:
+    norm_A = np.linalg.norm(A, 2)
+    if not _negligible(np.linalg.norm(A - A.T, 2), 1.0 + norm_A):
         raise DomainError("b_coefficient_test requires a symmetric drift operator")
     eigvals, eigvecs = np.linalg.eigh(A)
     # descending eigenvalue order: mode 1 is the slowest direction, matching
@@ -268,19 +270,17 @@ def b_coefficient_test(
     b_norm = np.linalg.norm(B, 2)
     row_norms = np.linalg.norm(proj, axis=1)
 
-    # cluster indices of nearly equal eigenvalues
-    clusters: list[list[int]] = []
-    for i, ev in enumerate(eigvals):
-        if clusters and abs(ev - eigvals[clusters[-1][-1]]) <= cfg.rank_tol * scale:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    # a cluster ends where the step down to the next eigenvalue is more than
+    # round-off; its gap is the smaller of the steps at its two ends
+    steps = np.concatenate([[np.inf], -np.diff(eigvals), [np.inf]])
+    cuts = [i for i, d in enumerate(steps) if not _negligible(d, 2 * norm_A)]
 
     out = []
-    for cluster in clusters:
-        cluster_norm = float(np.sqrt(sum(row_norms[i] ** 2 for i in cluster)))
-        flag = bool(cluster_norm <= cfg.zero_tol * b_norm)
-        for i in cluster:
+    for lo, hi in zip(cuts, cuts[1:]):
+        gap = min(steps[lo], steps[hi])
+        cluster_norm = float(np.linalg.norm(row_norms[lo:hi]))
+        flag = _negligible(cluster_norm, b_norm * (1.0 + norm_A / gap))
+        for i in range(lo, hi):
             coeff = float(proj[i, 0]) if sys.m == 1 else float(row_norms[i])
             out.append(
                 ModeCoefficient(

@@ -57,28 +57,25 @@ def _square(M: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds shared by the algebraic tests.
+    """Numerical thresholds of the dissipativity and ellipticity tests.
 
     psd_tol   semidefiniteness slack (>= 0)
-    rank_tol  singular-value rank threshold (> 0)
-    zero_tol  vector-nullity / commutator threshold (> 0)
     eps_a     offset above 1/2 used in the joint-dissipativity test (> 0)
 
-    rank_tol and zero_tol serve the subspace sweep, the commuting check and
-    b-coeffs; the Hautus pencil scans use a threshold scaled to their inputs.
+    Rank and nullity decisions take no setting: the Hautus scans,
+    b-coeffs and the commuting check judge round-off on a scale worked out
+    from their inputs, and the invariant-subspace sweep uses a fixed
+    relative threshold of its own.
     """
 
     psd_tol: float = 1e-10
-    rank_tol: float = 1e-9
-    zero_tol: float = 1e-9
     eps_a: float = 1e-6
 
     def __post_init__(self):
         if self.psd_tol < 0:
             raise DomainError("psd_tol must be >= 0")
-        for name in ("rank_tol", "zero_tol", "eps_a"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be > 0")
+        if self.eps_a <= 0:
+            raise DomainError("eps_a must be > 0")
 
 
 class StochasticSystem:

@@ -114,12 +114,12 @@ class TestParseRunConfig:
             "x0": ["pi", 1, 0, 0],
             "sim": {"T": 0.5, "dt": "0.1", "n_paths": 10, "seed": 3},
             "lambda_grid": ["-3*pi^2", 0],
-            "tolerances": {"rank_tol": 1e-8},
+            "tolerances": {"psd_tol": 1e-9},
             "system": {"divform1d": {"N": 4, **coefficients}},
         })
         expected = {
             "system": {"divform1d": {"N": 4, "quad_order": 16, **coefficients}},
-            "tolerances": {"psd_tol": 1e-10, "rank_tol": 1e-8, "zero_tol": 1e-9, "eps_a": 1e-6},
+            "tolerances": {"psd_tol": 1e-9, "eps_a": 1e-6},
             "lambda_grid": [-(3 * PI2), 0.0],
             "format": "json",
             "n_regression_times": 11,
@@ -220,6 +220,12 @@ class TestErrorStatuses:
     def test_malformed_config(self, tmp_path):
         code, _ = run_cli(tmp_path, "check-n1", {"system": {"matrices": {"A": [[-1.0]]}}})
         assert code == 1
+
+    def test_retired_tolerance_is_rejected(self, tmp_path, capsys):
+        code, text = run_cli(tmp_path, "check-n1", dict(EXAMPLE2, tolerances={"rank_tol": 1e-9}))
+        assert code == 1 and text is None
+        assert capsys.readouterr().err.startswith(
+            "sck: input error: tolerances: unknown fields ['rank_tol']")
 
     def test_unknown_subcommand(self, tmp_path):
         cfg_path = tmp_path / "c.json"

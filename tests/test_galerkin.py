@@ -3,7 +3,6 @@ import pytest
 
 from sck import (
     HeatSystemSpec,
-    ToleranceConfig,
     assemble_divform_1d,
     assemble_example2,
     b_coefficient_test,
@@ -225,8 +224,18 @@ class TestBCoefficientTest:
         # the eigenspace projection is nonzero, so no mode is flagged
         A = np.diag([-1.0, -1.0, -3.0])
         B = np.array([[1.0], [0.0], [1.0]])
-        modes = b_coefficient_test(StochasticSystem(A, B), ToleranceConfig(rank_tol=1e-6))
+        modes = b_coefficient_test(StochasticSystem(A, B))
         assert not any(m.near_zero for m in modes)
+
+    @pytest.mark.parametrize("N", [128, 512])
+    def test_parity_system_flags_the_even_modes(self, N):
+        # a and b are even about x = 1/2: every even sine mode is exactly
+        # uncontrolled and every odd one is live, down to |c| ~ 5e-11 at
+        # N = 512, where a fixed absolute threshold would flag live modes
+        spec = HeatSystemSpec(N, trigonometric(1.0, [0.5]), trigonometric(0.0, [], [0.3]),
+                              polynomial([0.0, 1.0, -1.0]))
+        modes = b_coefficient_test(assemble_divform_1d(spec))
+        assert sum(m.near_zero for m in modes) == N // 2
 
     def test_variable_diffusion_uses_computed_eigenbasis(self):
         spec = HeatSystemSpec(N=5, a_fn=polynomial([1.0, 0.4]),

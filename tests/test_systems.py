@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,17 +71,16 @@ class TestSubspaceBasis:
 
 class TestToleranceConfig:
     def test_defaults(self):
-        cfg = ToleranceConfig()
-        assert cfg.psd_tol == 1e-10
-        assert cfg.rank_tol == 1e-9
-        assert cfg.zero_tol == 1e-9
-        assert cfg.eps_a == 1e-6
+        assert [(f.name, f.default) for f in dataclasses.fields(ToleranceConfig)] == [
+            ("psd_tol", 1e-10), ("eps_a", 1e-6)]
 
     def test_validation(self):
         with pytest.raises(DomainError):
             ToleranceConfig(psd_tol=-1e-3)
         with pytest.raises(DomainError):
-            ToleranceConfig(rank_tol=0.0)
+            ToleranceConfig(eps_a=0.0)
+        with pytest.raises(TypeError):
+            ToleranceConfig(rank_tol=1e-9)
 
 
 class TestIsDissipative:
