@@ -23,12 +23,12 @@ Hermite martingales: Nualart, The Malliavin Calculus and Related Topics, ch. 1.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionError, DomainError
 from .sde import (
@@ -40,7 +40,7 @@ from .sde import (
     _forward_sweep,
     _noise,
 )
-from .systems import StochasticSystem, as_vector
+from .systems import StochasticSystem, _expm, as_vector
 from .systems import yosida as yosida_pair
 
 __all__ = [
@@ -114,7 +114,7 @@ class BsdeSolution:
     on every path and Z = 0 (both read-only broadcasts), ``w`` None and the
     continuous-time closed form Y_t = exp((T-t) A^T) xi as ``y_exact``.
     Otherwise ``w`` holds the Brownian values W_t per path at the grid
-    times, shape (n_paths, n_times).
+    times, shape (n_paths, n_times), and ``y_exact`` is None.
     """
 
     times: np.ndarray
@@ -122,13 +122,22 @@ class BsdeSolution:
     Z: np.ndarray
     terminal: Terminal
     w: Optional[np.ndarray]
-    y_exact: Optional[np.ndarray] = None
+    _y_exact: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False,
+                                                         compare=False)
+
+    @cached_property
+    def y_exact(self) -> Optional[np.ndarray]:
+        """The closed form, taken on first read: it costs one matrix
+        exponential per grid time, which the solve itself never needs."""
+        return None if self._y_exact is None else self._y_exact()
 
 
 def _regression_steps(cfg: SimConfig, n_times: int) -> np.ndarray:
     if n_times < 2:
         raise DomainError("need at least 2 regression times")
-    return np.unique(np.round(np.linspace(0, cfg.n_steps, n_times)).astype(int))
+    steps = np.round(np.linspace(0, cfg.n_steps, n_times)).astype(int)
+    # non-decreasing from 0: keep each step above the one before it
+    return steps[np.diff(steps, prepend=-1) > 0]
 
 
 def _dual_coefficients(sys: StochasticSystem, terminal: Terminal, cfg: SimConfig) -> np.ndarray:
@@ -167,7 +176,12 @@ def _brownian_at(cfg: SimConfig, steps: np.ndarray) -> np.ndarray:
 
 def _semigroup(M: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
     """exp(t M) at each of the times."""
-    return [scipy.linalg.expm(t * M) for t in times]
+    return [_expm(t * M) for t in times]
+
+
+def _closed_form(M: np.ndarray, xi: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+    """exp(s M) xi for each s in ``remaining``, stacked."""
+    return np.stack([E @ xi for E in _semigroup(M, remaining)])
 
 
 def solve_dual_bsde(
@@ -191,9 +205,9 @@ def solve_dual_bsde(
     shape = (len(steps), cfg.n_paths, sys.n)
     if coef.shape[1] == 1:
         Y = np.broadcast_to(coef[steps, 0][:, None], shape)
-        y_exact = np.stack([E @ terminal.xi for E in _semigroup(sys.A.T, cfg.T - times)])
+        exact = partial(_closed_form, sys.A.T, terminal.xi, cfg.T - times)
         return BsdeSolution(times=times, Y=Y, Z=np.broadcast_to(0.0, shape),
-                            terminal=terminal, w=None, y_exact=y_exact)
+                            terminal=terminal, w=None, _y_exact=exact)
     w = _brownian_at(cfg, steps)
     Y = coef[steps, 0][:, None] + w[:, :, None] * coef[steps, 1][:, None]
     # Z_k = y_1(k + 1); the last grid point carries Z_{K-1} = xi1
@@ -238,9 +252,10 @@ def duality_check(
     The forward paths and the backward solution consume the identical
     counter-based increments, so both sides are evaluated on the same
     probability-space sample; a deterministic terminal draws noise only in
-    the forward sweep.  The time integral on the right side uses the
-    trapezoid rule over the reporting grid; its bias is covered by the
-    dt-proportional allowance in the pass rule.
+    the forward sweep, and no matrix exponential is taken.  The time
+    integral on the right side uses the trapezoid rule over the reporting
+    grid; its bias is covered by the dt-proportional allowance in the pass
+    rule.
     """
     sweep = _forward_sweep(sys, x0, control, cfg)  # checks inputs before the solve
     sol = solve_dual_bsde(sys, terminal, cfg, n_regression_times)
@@ -463,7 +478,7 @@ def approximation_convergence(
 
     rows = []
     for delta in delta_list:
-        E_d = scipy.linalg.expm(delta * A)
+        E_d = _expm(delta * A)
         C_d = E_d @ C @ E_d
         moll = _semigroup(A + lam * C_d, times)
         err_moll = _sup_gap(moll, exact, probes)

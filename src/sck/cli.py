@@ -347,25 +347,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sck", description="stochastic controllability kit")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--config", required=True, help="path to the JSON run configuration")
-    parser.add_argument("--output", help="report path (overrides config output_path)")
-    parser.add_argument("--format", choices=("json", "csv"), help="report format override")
-    parser.add_argument("--seed", type=int, help="seed override for simulation runs")
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="recorded in the report envelope only; sck computes in one "
-             "process and results never depend on it; falls back to SCK_THREADS",
-    )
-    return parser
+# built once, at import: the first parser makes gettext import locale, which
+# is start-up work and should not land in the first run
+_PARSER = _Parser(prog="sck", description="stochastic controllability kit")
+_PARSER.add_argument("subcommand", choices=SUBCOMMANDS)
+_PARSER.add_argument("--config", required=True, help="path to the JSON run configuration")
+_PARSER.add_argument("--output", help="report path (overrides config output_path)")
+_PARSER.add_argument("--format", choices=("json", "csv"), help="report format override")
+_PARSER.add_argument("--seed", type=int, help="seed override for simulation runs")
+_PARSER.add_argument(
+    "--threads", type=int, default=None,
+    help="recorded in the report envelope only; sck computes in one "
+         "process and results never depend on it; falls back to SCK_THREADS",
+)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         threads = args.threads
         if threads is None:
             env = os.environ.get("SCK_THREADS", "0")

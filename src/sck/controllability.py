@@ -186,7 +186,7 @@ def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0):
             break
         label = np.minimum(reach, label)
     out = []
-    for k in np.unique(label):
+    for k in np.flatnonzero(label == np.arange(len(ev))):  # one least index per cluster
         members = np.flatnonzero(label == k)
         cluster, i = ev[members], members[0]
         alpha = cluster.mean()

@@ -19,6 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
+# numpy loads numpy.random on first use; a module-level import keeps that
+# load in start-up instead of the first simulation
+from numpy.random import Generator, Philox, SeedSequence
 
 from .exceptions import DimensionError, DomainError, StabilityError
 from .systems import StochasticSystem, as_matrix, as_vector
@@ -89,8 +92,8 @@ class SimConfig:
 
 def _step_normals(seed: int, step: int, n_paths: int) -> np.ndarray:
     """Standard normals for one time step, keyed by (seed, step)."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(step),))
-    return np.random.Generator(np.random.Philox(ss)).standard_normal(n_paths)
+    ss = SeedSequence(entropy=int(seed), spawn_key=(int(step),))
+    return Generator(Philox(ss)).standard_normal(n_paths)
 
 
 def _noise(cfg: SimConfig, steps: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
@@ -317,7 +320,7 @@ def simulate_flow(sys: StochasticSystem, cfg: SimConfig, record: bool = True) ->
     only the initial and final matrices are kept.
     """
     K = cfg.n_steps
-    kept = np.arange(K + 1) if record else np.unique([0, K])
+    kept = np.arange(K + 1) if record else np.array([0, K])
     flows = np.empty((cfg.n_paths, len(kept), sys.n, sys.n))
     for k, _, Phi in _sweep(sys, np.eye(sys.n), ZeroControl(), cfg):
         if record or k in (0, K):

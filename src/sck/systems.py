@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionError, DomainError, SingularResolventError
 
@@ -261,4 +260,14 @@ def semigroup_apply(A, t: float, x) -> np.ndarray:
         raise DimensionError("x length must match A")
     if not np.isfinite(t) or t < 0:
         raise DomainError(f"t must be a finite nonnegative real, got {t}")
-    return scipy.linalg.expm(t * A) @ x
+    return _expm(t * A) @ x
+
+
+def _expm(M: np.ndarray) -> np.ndarray:
+    """exp(M) by scipy's scaling and squaring.  Every matrix exponential of
+    the kit goes through here, and scipy is imported on the first one: its
+    import costs more than most subcommands, and only ``convergence``,
+    :func:`semigroup_apply` and ``BsdeSolution.y_exact`` need it."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(M)

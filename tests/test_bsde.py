@@ -163,6 +163,25 @@ class TestSolveDualBsde:
         with pytest.raises(DimensionError):
             solve_dual_bsde(s, DeterministicTerminal(np.ones(3)), cfg)
 
+    @pytest.mark.parametrize("system", ["example2", "random"])
+    def test_y_exact_is_the_closed_form_bitwise(self, system):
+        if system == "example2":
+            s = example2()
+        else:
+            A, B, C = random_dissipative_system(np.random.default_rng(23), 4, c_scale=0.5)
+            s = StochasticSystem(A, B, C=C)
+        cfg = SimConfig(T=0.5, dt=1e-2, n_paths=10, seed=11)
+        xi = np.array([0.3, 1.0, -0.5, 0.2])
+        sol = solve_dual_bsde(s, DeterministicTerminal(xi), cfg)
+        assert sol.y_exact.shape == (len(sol.times), 4)
+        for j, t in enumerate(sol.times):
+            assert np.array_equal(sol.y_exact[j], scipy.linalg.expm((cfg.T - t) * s.A.T) @ xi)
+
+    def test_y_exact_is_none_for_a_linear_terminal(self):
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=0)
+        sol = solve_dual_bsde(example2(), LinearInWTTerminal(np.ones(4), np.ones(4)), cfg)
+        assert sol.y_exact is None
+
 
 class TestDualityCheck:
     def test_uncontrolled_deterministic_terminal(self):
@@ -550,3 +569,18 @@ class TestConvergenceCost:
         # the exact semigroup once, E_d and the mollified one per delta, the
         # smoothed one per (n, delta): 276 calls at 3 x 3
         assert len(expm_calls) == 21 * (1 + D + D * N) + D
+
+    def test_duality_takes_no_exponential(self, expm_calls):
+        cfg = SimConfig(T=1.0, dt=1e-2, n_paths=100, seed=55)
+        duality_check(self.c7_system(), np.ones(4), ConstantControl(np.ones(1)),
+                      DeterministicTerminal(np.ones(4)), cfg)
+        assert expm_calls == []
+
+    def test_y_exact_takes_one_exponential_per_grid_time_on_first_read(self, expm_calls):
+        cfg = SimConfig(T=1.0, dt=1e-2, n_paths=100, seed=55)
+        sol = solve_dual_bsde(self.c7_system(), DeterministicTerminal(np.ones(4)), cfg)
+        assert expm_calls == []
+        first = sol.y_exact
+        assert len(expm_calls) == len(sol.times)
+        assert sol.y_exact is first
+        assert len(expm_calls) == len(sol.times)
