@@ -138,10 +138,7 @@ _ROUNDOFF = 16 * np.finfo(float).eps
 def _negligible(margin: float, scale: float) -> bool:
     """The one round-off rule of the one-shot rank decisions: a margin at or
     below 16 eps times its scale is round-off, so the matrix is taken to lose
-    rank there.  The Hautus scans' scale is ||B||_2 times an eigenvector's
-    conditioning, or ||S||_2 for a pencil S, whose sigma at a cluster's mean
-    enters net of the cluster's radius; ``commuting_case_check`` and
-    ``galerkin.b_coefficient_test`` state theirs.  Only the iterated subspace
+    rank there.  Each caller states its scale; only the iterated subspace
     sweep judges by ``_SWEEP_TOL`` instead."""
     return bool(margin <= _ROUNDOFF * scale)
 
@@ -154,30 +151,29 @@ def _pencil(M_T: np.ndarray, B_T: np.ndarray, alpha: complex):
     return float(s[-1]), vh[-1].conj(), float(s[0])
 
 
-def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0):
-    """(HautusPoint, w) per eigenvalue of M^T, from one eigen-decomposition.
-
-    A simple eigenvalue's sigma is |B^T w| for its unit eigenvector w, on the
-    scale ||B||_2 (1 + ||M|| / gap) of w's round-off, with ||M|| the bound
-    sqrt(||M||_1 ||M||_inf).  Two eigenvalues closer than 32 eps ||M|| kappa,
-    kappa the smaller of their condition numbers, are within round-off of
-    each other: one repeated or defective eigenvalue, tested on the pencil at
-    the cluster's mean.  There an uncontrolled member's eigenvector leaves
-    sigma at most its distance from the mean, so sigma is judged net of the
-    cluster's radius.  A point is real (alpha_im = 0) when its eigenvalues
-    are their own conjugates.
+def _spectrum(M_T: np.ndarray):
+    """(eigenvalues, unit eigenvectors, ||M||, clusters) of M^T from one
+    eigen-decomposition: ``eigh`` when M^T is exactly symmetric, so every
+    condition number kappa is 1, else ``eig`` with kappa from the inverse
+    eigenvector matrix.  ||M|| is sqrt(||M||_1 ||M||_inf), a bound on ||M||_2
+    that takes no SVD.  Eigenvalues closer than 32 eps ||M|| kappa, kappa the
+    smaller of the pair's, are within round-off of each other.  Chains of
+    such pairs form one cluster, a repeated or defective eigenvalue, given as
+    (member indices, gap to the rest of the spectrum).
     """
-    ev, V = np.linalg.eig(M_T)
     norm_M = np.sqrt(np.linalg.norm(M_T, 1) * np.linalg.norm(M_T, np.inf))
-    try:
-        left = np.linalg.inv(V)
-    except np.linalg.LinAlgError:  # exactly coincident eigenvectors
-        left = np.linalg.pinv(V)
-    with np.errstate(over="ignore"):
-        kappa = np.linalg.norm(left, axis=1)  # 1 / |y^H v| for the left y
+    if np.array_equal(M_T, M_T.T):
+        ev, V = np.linalg.eigh(M_T)
+        kappa = np.ones(len(ev))
+    else:
+        ev, V = np.linalg.eig(M_T)
+        try:
+            left = np.linalg.inv(V)
+        except np.linalg.LinAlgError:  # exactly coincident eigenvectors
+            left = np.linalg.pinv(V)
+        with np.errstate(over="ignore"):
+            kappa = np.linalg.norm(left, axis=1)  # 1 / |y^H v| for the left y
     dist = np.abs(ev[:, None] - ev)
-    np.fill_diagonal(dist, np.inf)
-    gap, norm_B = dist.min(axis=1), np.linalg.norm(B_T, 2)
     near = dist <= 2 * _ROUNDOFF * norm_M * np.minimum(kappa[:, None], kappa)
     label = np.arange(len(ev))
     while True:  # each eigenvalue takes the least label of its cluster
@@ -185,9 +181,25 @@ def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0):
         if (reach >= label).all():
             break
         label = np.minimum(reach, label)
+    outside = np.where(label[:, None] == label, np.inf, dist).min(axis=1)
+    clusters = [np.flatnonzero(label == k)  # one least index per cluster
+                for k in np.flatnonzero(label == np.arange(len(ev)))]
+    return ev, V, norm_M, [(members, outside[members].min()) for members in clusters]
+
+
+def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0):
+    """(HautusPoint, w) per cluster of ``_spectrum(M_T)``.
+
+    A simple eigenvalue's sigma is |B^T w| for its unit eigenvector w, on the
+    scale ||B||_2 (1 + ||M|| / gap) of w's round-off.  A cluster is tested on
+    the pencil at its mean, net of its radius: an uncontrolled member's
+    eigenvector leaves sigma at most its distance from the mean.  A point is
+    real (alpha_im = 0) when its eigenvalues are their own conjugates.
+    """
+    ev, V, norm_M, clusters = _spectrum(M_T)
+    norm_B = np.linalg.norm(B_T, 2)
     out = []
-    for k in np.flatnonzero(label == np.arange(len(ev))):  # one least index per cluster
-        members = np.flatnonzero(label == k)
+    for members, gap in clusters:
         cluster, i = ev[members], members[0]
         alpha = cluster.mean()
         if cluster.imag.min() <= 0 <= cluster.imag.max():
@@ -197,7 +209,7 @@ def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0):
             flag = _negligible(sigma - np.abs(cluster - alpha).max(), scale)
         else:
             sigma, w = float(np.linalg.norm(B_T @ V[:, i])), V[:, i]
-            flag = _negligible(sigma, norm_B * (1.0 + norm_M / gap[i]))
+            flag = _negligible(sigma, norm_B * (1.0 + norm_M / gap))
         out.append((HautusPoint(lam, float(alpha.real), sigma, flag, float(alpha.imag)),
                     w.real))
     return out

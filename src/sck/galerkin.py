@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .controllability import _negligible
+from .controllability import _negligible, _spectrum
 from .exceptions import DimensionError, DomainError, EllipticityError, EvaluationError
 from .systems import StochasticSystem, ToleranceConfig, as_vector
 
@@ -241,53 +241,36 @@ def b_coefficient_test(sys: StochasticSystem) -> list[ModeCoefficient]:
     A mode whose projection is (numerically) zero certifies an uncontrolled
     eigendirection: the necessary spectral condition fails and the system
     cannot be approximately controllable (Hautus 1969; Fattorini 1966).  The
-    rules are the Hautus scans' with every eigenvector condition number 1,
-    since ``eigh`` returns orthonormal vectors.  Sorted eigenvalues at most
-    32 eps ||A||_2 apart are one eigenspace, whose individual eigenvectors
-    are not well defined: the near-zero flag is decided on the projection of
-    B onto the whole cluster, ``_negligible`` on ||B||_2 (1 + ||A||_2 / gap),
-    the round-off of a cluster at distance ``gap`` from the rest of the
-    spectrum.
+    eigenpairs, clusters and ||A|| are the Hautus scans' (``_spectrum``), on
+    the symmetric part of A.  A cluster's own eigenvectors are not well
+    defined, so its near-zero flag is decided on the projection of B onto the
+    whole cluster, ``_negligible`` on ||B||_2 (1 + ||A|| / gap), the round-off
+    of a cluster at distance ``gap`` from the rest of the spectrum.
 
     ``coefficient`` is the signed projection for a single control column
     (m = 1) and the row norm otherwise.
 
     Raises
     ------
-    DomainError  if A is not symmetric (no orthonormal eigenbasis assumed).
+    DomainError  if ||A - A^T||_1 is not ``_negligible`` on 1 + ||A||: A is
+                 not symmetric, and no orthonormal eigenbasis is assumed.
     """
     A, B = sys.A, sys.B
-    norm_A = np.linalg.norm(A, 2)
-    if not _negligible(np.linalg.norm(A - A.T, 2), 1.0 + norm_A):
+    eigvals, eigvecs, norm_A, clusters = _spectrum(0.5 * (A + A.T))
+    if not _negligible(np.linalg.norm(A - A.T, 1), 1.0 + norm_A):
         raise DomainError("b_coefficient_test requires a symmetric drift operator")
-    eigvals, eigvecs = np.linalg.eigh(A)
     # descending eigenvalue order: mode 1 is the slowest direction, matching
     # the k = 1, 2, ... numbering of the sine eigenbasis
     order = np.argsort(-eigvals, kind="stable")
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    proj = eigvecs.T @ B  # (n, m) rows are per-mode projections
+    proj = eigvecs[:, order].T @ B  # (n, m) rows are per-mode projections
+    row_norms = np.empty(len(order))  # indexed like eigvals
+    row_norms[order] = np.linalg.norm(proj, axis=1)
     b_norm = np.linalg.norm(B, 2)
-    row_norms = np.linalg.norm(proj, axis=1)
-
-    # a cluster ends where the step down to the next eigenvalue is more than
-    # round-off; its gap is the smaller of the steps at its two ends
-    steps = np.concatenate([[np.inf], -np.diff(eigvals), [np.inf]])
-    cuts = [i for i, d in enumerate(steps) if not _negligible(d, 2 * norm_A)]
-
-    out = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        gap = min(steps[lo], steps[hi])
-        cluster_norm = float(np.linalg.norm(row_norms[lo:hi]))
-        flag = _negligible(cluster_norm, b_norm * (1.0 + norm_A / gap))
-        for i in range(lo, hi):
-            coeff = float(proj[i, 0]) if sys.m == 1 else float(row_norms[i])
-            out.append(
-                ModeCoefficient(
-                    mode_index=i + 1,
-                    eigenvalue=float(eigvals[i]),
-                    coefficient=coeff,
-                    near_zero=flag,
-                )
-            )
-    return out
+    flag = np.empty(len(order), dtype=bool)
+    for members, gap in clusters:
+        flag[members] = _negligible(np.linalg.norm(row_norms[members]),
+                                    b_norm * (1.0 + norm_A / gap))
+    return [ModeCoefficient(i + 1, float(eigvals[k]),
+                            float(proj[i, 0]) if sys.m == 1 else float(row_norms[k]),
+                            bool(flag[k]))
+            for i, k in enumerate(order)]

@@ -76,7 +76,7 @@ def test_c01_example2_counterexample():
         expected /= np.linalg.norm(expected)
         w = rep.witness
         assert w is not None
-        assert np.arccos(min(1.0, abs(w @ expected))) <= 1e-6
+        assert np.arctan2(np.linalg.norm(w - (w @ expected) * expected), abs(w @ expected)) <= 1e-6
 
         zeta = np.array([-B_COEFFS[1] / B_COEFFS[0], 1.0, 0.0, 0.0])
         pencil = sys_.A.T + lam * sys_.C.T - alpha * np.eye(4)

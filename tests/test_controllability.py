@@ -7,6 +7,7 @@ from sck import (
     StochasticSystem,
     assemble_divform_1d,
     assemble_example2,
+    b_coefficient_test,
     check_condition,
     commuting_case_check,
     kalman_hautus_rank,
@@ -99,7 +100,9 @@ class TestCheckCondition:
         assert w is not None
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
         expected = np.array([-1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)
-        assert np.arccos(min(1.0, abs(w @ expected))) < 1e-8
+        # the angle to the expected direction, from its sine and cosine: arccos
+        # of a cosine one ulp below 1 reads 2.1e-8
+        assert np.arctan2(np.linalg.norm(w - (w @ expected) * expected), abs(w @ expected)) < 1e-8
         # witness residual bound from the report contract
         M = example2_system().A + (-3 * PI2) * example2_system().C
         resid = np.linalg.norm((M.T - p.alpha * np.eye(4)) @ w)
@@ -238,9 +241,9 @@ class TestParityScan:
 class TestScanCost:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Names of the np.linalg.eig and np.linalg.svd calls, in order."""
+        """Names of the np.linalg eig, eigh, inv and svd calls, in order."""
         calls = []
-        for name in ("eig", "svd"):
+        for name in ("eig", "eigh", "inv", "svd"):
             def counting(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _f(*args, **kwargs)
@@ -249,22 +252,83 @@ class TestScanCost:
         return calls
 
     def test_svds_only_off_the_simple_spectrum(self, calls):
-        # one eig per operator; pencil SVDs only at the double eigenvalue
-        # -4 pi^2 of A - 3 pi^2 C and at the two explicit points
+        # example2's A and A - 3 pi^2 C are diagonal: one eigh each and no
+        # inv; pencil SVDs only at the double eigenvalue -4 pi^2 of
+        # A - 3 pi^2 C and at the two explicit points
         lam = -3 * PI2
         rep = check_condition(example2_system(), [lam, 0.0], "N2",
                               explicit_points=[(lam, -4 * PI2), (lam, -1.0)])
         assert len(rep.violations) == 2
-        assert calls.count("eig") == 2
+        assert calls.count("eigh") == 2
+        assert "eig" not in calls and "inv" not in calls
         assert calls.count("svd") == 3
 
-    def test_simple_spectrum_takes_one_eig_and_no_svd(self, calls):
+    def test_simple_spectrum_takes_one_eigh_and_no_svd(self, calls):
         rep = check_condition(example2_system(), [], "N1")
         assert rep.passed and rep.witness is None
-        assert calls == ["eig"]
-        # kalman_hautus_rank: one eig, and one pencil SVD per sample
+        assert calls == ["eigh"]
+        # kalman_hautus_rank: one eigh, and one pencil SVD per sample
         kalman_hautus_rank(np.diag([-1.0, -2.0]), np.ones((2, 1)), s_samples=[0.5j])
-        assert calls == ["eig", "eig", "svd"]
+        assert calls == ["eigh", "eigh", "svd"]
+        b_coefficient_test(example2_system())
+        assert calls == ["eigh", "eigh", "svd", "eigh"]
+
+    def test_non_symmetric_operator_takes_one_eig_and_one_inv(self, calls):
+        # on the parity system A is symmetric and C is not
+        s = parity_system(16)
+        check_condition(s, [], "N1")
+        assert calls == ["eigh"]
+        check_condition(s, [-1.0, 1.0], "N2")
+        assert calls == ["eigh"] + ["eig", "inv"] * 2
+        A = s.A.copy()
+        A[0, 1] = np.nextafter(A[0, 1], np.inf)
+        kalman_hautus_rank(A, s.B)
+        assert calls[5:] == ["eig", "inv"]
+
+
+class TestSpectralCore:
+    """The Hautus scans and ``b-coeffs`` read one eigen-decomposition: ``eigh``
+    for an exactly symmetric operator, ``eig`` otherwise."""
+
+    @staticmethod
+    def nudged(s):
+        # one ulp off symmetric sends A to the eig branch
+        A = s.A.copy()
+        A[0, 1] = np.nextafter(A[0, 1], np.inf)
+        return StochasticSystem(A, s.B, C=s.C)
+
+    @pytest.mark.parametrize("N", [64, 128])
+    def test_both_branches_agree(self, N):
+        s = parity_system(N)
+        t = self.nudged(s)
+        assert not np.array_equal(t.A, t.A.T)
+        exact, off = check_condition(s, [], "N1"), check_condition(t, [], "N1")
+        assert [p.violated for p in exact.points] == [p.violated for p in off.points]
+        for p, q in zip(exact.points, off.points):
+            assert q.alpha == pytest.approx(p.alpha, rel=1e-10)
+        assert ([m.near_zero for m in b_coefficient_test(s)]
+                == [m.near_zero for m in b_coefficient_test(t)])
+
+    def test_b_coeffs_and_n1_agree_mode_by_mode(self):
+        s = parity_system(128)
+        modes = b_coefficient_test(s)
+        points = check_condition(s, [], "N1").points[::-1]  # descending alpha
+        assert len(points) == len(modes) == 128
+        for m, p in zip(modes, points):
+            assert m.eigenvalue == pytest.approx(p.alpha, rel=1e-12)
+            assert m.near_zero == p.violated
+        assert sum(m.near_zero for m in modes) == 64
+
+    def test_near_symmetric_drift_reads_its_symmetric_part(self):
+        s = parity_system(64)
+        G = np.random.default_rng(4).standard_normal((64, 64))
+        S = (G - G.T) / np.linalg.norm(G - G.T, 1)
+        A = s.A + 1e-15 * np.linalg.norm(s.A, 1) * S
+        assert not np.array_equal(A, A.T)
+        near = b_coefficient_test(StochasticSystem(A, s.B))
+        sym = b_coefficient_test(StochasticSystem(0.5 * (A + A.T), s.B))
+        assert [m.near_zero for m in near] == [m.near_zero for m in sym]
+        assert sum(m.near_zero for m in near) == 32
 
 
 class TestJordanBlocks:
