@@ -171,6 +171,13 @@ def parity_system(N):
     return assemble_divform_1d(spec)
 
 
+def nudged(s):
+    """``s`` with A[0, 1] moved by one ulp: A is no longer exactly symmetric."""
+    A = s.A.copy()
+    A[0, 1] = np.nextafter(A[0, 1], np.inf)
+    return StochasticSystem(A, s.B, C=s.C)
+
+
 class TestParityScan:
     SIZES = [64, 128, 256]
     LAMBDAS = [-2.0, -1.0, -0.5, 0.5, 1.0, 1.5]
@@ -280,9 +287,7 @@ class TestScanCost:
         assert calls == ["eigh"]
         check_condition(s, [-1.0, 1.0], "N2")
         assert calls == ["eigh"] + ["eig", "inv"] * 2
-        A = s.A.copy()
-        A[0, 1] = np.nextafter(A[0, 1], np.inf)
-        kalman_hautus_rank(A, s.B)
+        kalman_hautus_rank(nudged(s).A, s.B)
         assert calls[5:] == ["eig", "inv"]
 
 
@@ -290,17 +295,10 @@ class TestSpectralCore:
     """The Hautus scans and ``b-coeffs`` read one eigen-decomposition: ``eigh``
     for an exactly symmetric operator, ``eig`` otherwise."""
 
-    @staticmethod
-    def nudged(s):
-        # one ulp off symmetric sends A to the eig branch
-        A = s.A.copy()
-        A[0, 1] = np.nextafter(A[0, 1], np.inf)
-        return StochasticSystem(A, s.B, C=s.C)
-
     @pytest.mark.parametrize("N", [64, 128])
     def test_both_branches_agree(self, N):
         s = parity_system(N)
-        t = self.nudged(s)
+        t = nudged(s)
         assert not np.array_equal(t.A, t.A.T)
         exact, off = check_condition(s, [], "N1"), check_condition(t, [], "N1")
         assert [p.violated for p in exact.points] == [p.violated for p in off.points]
