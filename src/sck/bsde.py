@@ -30,6 +30,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .controllability import _negligible
 from .exceptions import DimensionError, DomainError
 from .sde import (
     Control,
@@ -57,6 +58,8 @@ __all__ = [
     "apriori_bound_check",
     "approximation_convergence",
 ]
+
+_Z_MAX = 4.0  # the duality simulator gate's bound, in standard errors
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,9 @@ class BsdeSolution:
     on every path and Z = 0 (both read-only broadcasts), ``w`` None and the
     continuous-time closed form Y_t = exp((T-t) A^T) xi as ``y_exact``.
     Otherwise ``w`` holds the Brownian values W_t per path at the grid
-    times, shape (n_paths, n_times), and ``y_exact`` is None.
+    times, shape (n_paths, n_times), and ``y_exact`` is None.  ``coef``
+    holds the Hermite coefficients y_j(k) at every step k = 0..K, shape
+    (K + 1, degree + 1, n).
     """
 
     times: np.ndarray
@@ -122,6 +127,7 @@ class BsdeSolution:
     Z: np.ndarray
     terminal: Terminal
     w: Optional[np.ndarray]
+    coef: np.ndarray
     _y_exact: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False,
                                                          compare=False)
 
@@ -207,36 +213,54 @@ def solve_dual_bsde(
         Y = np.broadcast_to(coef[steps, 0][:, None], shape)
         exact = partial(_closed_form, sys.A.T, terminal.xi, cfg.T - times)
         return BsdeSolution(times=times, Y=Y, Z=np.broadcast_to(0.0, shape),
-                            terminal=terminal, w=None, _y_exact=exact)
+                            terminal=terminal, w=None, coef=coef, _y_exact=exact)
     w = _brownian_at(cfg, steps)
     Y = coef[steps, 0][:, None] + w[:, :, None] * coef[steps, 1][:, None]
     # Z_k = y_1(k + 1); the last grid point carries Z_{K-1} = xi1
     Z = np.broadcast_to(coef[np.minimum(steps + 1, cfg.n_steps), 1][:, None], shape)
-    return BsdeSolution(times=times, Y=Y, Z=Z, terminal=terminal, w=w.T)
+    return BsdeSolution(times=times, Y=Y, Z=Z, terminal=terminal, w=w.T, coef=coef)
 
 
 @dataclass
 class DualityReport:
-    """Monte Carlo check of E<X_T, Y_T> = E<x0, Y_0> + E int <B u_s, Y_s> ds.
+    """Check of E<X_T, Y_T> = <x0, Y_0> + E int <B u_s, Y_s> ds.
 
-    X comes from the forward Euler sweep and Y from :func:`solve_dual_bsde`
-    on the same noise; Y_T is the terminal value on each path.  ``stderr``
-    combines the two estimators' sample standard errors in quadrature.  Each
-    is computed from that side's samples centred on their first value, so it
-    is exactly 0.0 when a side's samples are identical rather than the
-    round-off of their mean.  The pass rule allows 3 standard errors plus an
-    explicit discretization allowance proportional to dt.
-    ``feedback_control`` marks runs whose control is a state feedback
-    (supported, treated as experimental).
+    ``lhs`` and ``rhs`` are the two sides, both exact for the Euler scheme.
+    ``lhs_mc`` is the path mean of <X_T, Y_T> and ``stderr`` its standard
+    error, taken from the samples centred on their first value: exactly 0.0
+    when every sample is identical, not the round-off of their mean.
+    ``passed`` holds both gates of :func:`duality_check`.
     """
 
     lhs: float
     rhs: float
+    lhs_mc: float
     stderr: float
-    bias_allowance: float
     dt: float
     passed: bool
     feedback_control: bool = False
+
+
+def _forward_moments(sys: StochasticSystem, x0: np.ndarray, control: Control,
+                     cfg: SimConfig, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hermite moments M_j(k) = E[H_j(W_k, t_k) X_k] of the Euler states,
+    shape (K + 1, degree + 1, n), by the adjoint of the dual's recursion
+    M_j(k+1) = (I + dt A) M_j(k) + j dt C M_{j-1}(k) + row_j(k); and the
+    control rows row_j(k) = dt B E[H_j(W_k) u_k], shape (K, rows, n): one
+    row dt B u_k for an open-loop u, dt B K M_j(k) for each j under a
+    feedback u = K X, none for the zero control."""
+    F, C = np.eye(sys.n) + cfg.dt * sys.A, sys.C
+    lift = cfg.dt * np.arange(1, degree + 1)[:, None]  # j dt for j = 1..degree
+    M = np.zeros((cfg.n_steps + 1, degree + 1, sys.n))
+    M[0, 0] = x0
+    rows = []
+    for k in range(cfg.n_steps):
+        bu = _bu_term(control, sys.B, k, M[k].T, cfg.dt)
+        rows.append(np.zeros((0, sys.n)) if bu is None else bu.T)
+        M[k + 1] = M[k] @ F.T
+        M[k + 1, 1:] += lift * (M[k, :-1] @ C.T)
+        M[k + 1, :len(rows[-1])] += rows[-1]
+    return M, np.array(rows)
 
 
 def duality_check(
@@ -245,58 +269,35 @@ def duality_check(
     control: Control,
     terminal: Terminal,
     cfg: SimConfig,
-    n_regression_times: int = 11,
 ) -> DualityReport:
-    """Verify the forward/backward duality identity on a shared ensemble.
+    """Check the duality identity exactly for the Euler scheme, and the
+    forward simulator against it.
 
-    The forward paths and the backward solution consume the identical
-    counter-based increments, so both sides are evaluated on the same
-    probability-space sample; a deterministic terminal draws noise only in
-    the forward sweep, and no matrix exponential is taken.  The time
-    integral on the right side uses the trapezoid rule over the reporting
-    grid; its bias is covered by the dt-proportional allowance in the pass
-    rule.
+    With y_j(k) the dual's coefficients and M_j(k), row_j(k) from
+    :func:`_forward_moments`, lhs = sum_j <M_j(K), y_j(K)> and
+    rhs = <x0, y_0(0)> + sum_{k,j} <row_j(k), y_j(k+1)>.  Both gates are
+    ``_negligible`` on K S, with S the sum of |a| |b| over every product
+    summed on either side: |lhs - rhs| (the theorem), and |lhs_mc - lhs|
+    less _Z_MAX = 4 standard errors (the simulator).  Y_T is read on the
+    sweep's own noise; no matrix exponential is taken.
     """
     sweep = _forward_sweep(sys, x0, control, cfg)  # checks inputs before the solve
-    sol = solve_dual_bsde(sys, terminal, cfg, n_regression_times)
-    steps = _regression_steps(cfg, n_regression_times)
-
-    # the integrand <B u, Y> is taken at each reporting-grid step as the sweep
-    # passes it and summed by the trapezoid rule in grid order, which is
-    # np.trapezoid(..., axis=0) term for term; no forward states are stored
-    integral, j = 0.0, 0
-    for k, _, X in sweep:
-        if k == steps[j]:
-            bu = _bu_term(control, sys.B, min(k, cfg.n_steps - 1), X.T)
-            cur = 0.0 if bu is None else np.einsum(
-                "pi,pi->p", np.broadcast_to(bu.T, X.shape), sol.Y[j])
-            if j:
-                integral += (sol.times[j] - sol.times[j - 1]) * (cur + prev) / 2.0
-            prev = cur
-            j += 1
-    lhs_samples = np.einsum("pi,pi->p", X, sol.Y[-1])
-    rhs_samples = sol.Y[0] @ as_vector(x0, "x0") + integral
-
-    lhs = float(np.mean(lhs_samples))
-    rhs = float(np.mean(rhs_samples))
-    # centring on a sample leaves the variance unchanged and makes identical
-    # samples give exactly 0 instead of the round-off of their mean
-    se_lhs = float(np.std(lhs_samples - lhs_samples[0], ddof=1) / np.sqrt(cfg.n_paths))
-    se_rhs = float(np.std(rhs_samples - rhs_samples[0], ddof=1) / np.sqrt(cfg.n_paths))
-    stderr = float(np.hypot(se_lhs, se_rhs))
-    norm_a = np.linalg.norm(sys.A, 2)
-    norm_c = np.linalg.norm(sys.C, 2)
-    allowance = float((1.0 + norm_a + norm_c**2) * (abs(lhs) + abs(rhs) + 1.0))
-    passed = abs(lhs - rhs) <= 3.0 * stderr + cfg.dt * allowance
-    return DualityReport(
-        lhs=lhs,
-        rhs=rhs,
-        stderr=stderr,
-        bias_allowance=allowance,
-        dt=cfg.dt,
-        passed=bool(passed),
-        feedback_control=isinstance(control, FeedbackControl),
-    )
+    sol = solve_dual_bsde(sys, terminal, cfg, 2)
+    x0, y = as_vector(x0, "x0"), sol.coef
+    M, rows = _forward_moments(sys, x0, control, cfg, y.shape[1] - 1)
+    lhs_terms = M[-1] * y[-1]
+    rhs_terms = np.concatenate([x0 * y[0, 0], np.ravel(rows * y[1:, :rows.shape[1]])])
+    lhs, rhs = float(np.sum(lhs_terms)), float(np.sum(rhs_terms))
+    scale = cfg.n_steps * float(np.sum(np.abs(lhs_terms)) + np.sum(np.abs(rhs_terms)))
+    for _, _, X in sweep:
+        pass
+    samples = np.einsum("pi,pi->p", X, sol.Y[-1])
+    lhs_mc = float(np.mean(samples))
+    stderr = float(np.std(samples - samples[0], ddof=1) / np.sqrt(cfg.n_paths))
+    passed = (_negligible(abs(lhs - rhs), scale)
+              and _negligible(abs(lhs_mc - lhs) - _Z_MAX * stderr, scale))
+    return DualityReport(lhs=lhs, rhs=rhs, lhs_mc=lhs_mc, stderr=stderr, dt=cfg.dt, passed=passed,
+                         feedback_control=isinstance(control, FeedbackControl))
 
 
 @dataclass(frozen=True)

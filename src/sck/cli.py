@@ -37,7 +37,7 @@ _VERDICT = ("verdict", "invariant_subspace_dim", "n1_passed", "n2_passed",
 _MATRICES = ("A", "B", "C1", "C2")
 _ELLIPTICITY = ("ok", "min_margin", "alpha", "grid_points")
 _B_MODE = ("mode_index", "eigenvalue", "coefficient", "near_zero")
-_DUALITY = ("lhs", "rhs", "stderr", "bias_allowance", "dt", "passed", "feedback_control")
+_DUALITY = ("lhs", "rhs", "lhs_mc", "stderr", "dt", "passed", "feedback_control")
 _GIRSANOV_POINT = ("dt", "sup_error")
 _APRIORI_SAMPLE = ("sample_index", "xi_mean_square", "sup_mean_y_square",
                    "int_mean_z_square", "ratio")
@@ -180,7 +180,7 @@ def _duality(cfg: RunConfig) -> dict:
     system, sim = _simulation(cfg)
     x0 = cfg.require("x0")
     terminal = cfg.require("terminal")
-    rep = bsde.duality_check(system, x0, cfg.control, terminal, sim, cfg.n_regression_times)
+    rep = bsde.duality_check(system, x0, cfg.control, terminal, sim)
     return _fields(rep, *_DUALITY)
 
 

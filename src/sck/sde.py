@@ -175,8 +175,8 @@ def _validate_control(control: Control, sys: StochasticSystem, n_steps: int) -> 
 
 def _bu_term(control: Control, B: np.ndarray, k: int, X: np.ndarray,
              scale: float = 1.0) -> Optional[np.ndarray]:
-    """scale * B u_k for the paths-last states X of shape (n, n_paths); None
-    for the zero control, else a new (n, 1) column or (n, n_paths) array."""
+    """scale * B u_k for X of shape (n, p), paths-last states or moment
+    columns; None for the zero control, else a new (n, 1) or (n, p) array."""
     if isinstance(control, ZeroControl):
         return None
     if isinstance(control, FeedbackControl):

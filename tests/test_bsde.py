@@ -213,9 +213,8 @@ class TestDualityCheck:
             cfg = SimConfig(T=1.0, dt=2e-3, n_paths=10000, seed=100 + k)
             term = DeterministicTerminal(rng.standard_normal(n))
             rep = duality_check(s, rng.standard_normal(n),
-                                ConstantControl(0.5 * np.ones(s.m)), term, cfg,
-                                n_regression_times=21)
-            assert rep.passed, f"corpus item {k}: |{rep.lhs} - {rep.rhs}| > allowance"
+                                ConstantControl(0.5 * np.ones(s.m)), term, cfg)
+            assert rep.passed, f"corpus item {k}: {rep}"
 
     def test_feedback_flagged(self):
         rng = np.random.default_rng(29)
@@ -223,8 +222,7 @@ class TestDualityCheck:
         s = StochasticSystem(A, np.eye(2), C=C)
         cfg = SimConfig(T=1.0, dt=2e-3, n_paths=10000, seed=31)
         rep = duality_check(s, np.ones(2), FeedbackControl(-0.2 * np.eye(2)),
-                            DeterministicTerminal(np.array([1.0, 0.5])), cfg,
-                            n_regression_times=21)
+                            DeterministicTerminal(np.array([1.0, 0.5])), cfg)
         assert rep.feedback_control
         assert rep.passed
 
@@ -258,54 +256,135 @@ class TestDualityCheck:
         assert rep.lhs == pytest.approx(m @ xi, rel=1e-12)
         assert rep.passed
 
-    def test_rhs_is_the_trapezoid_of_the_solvers(self):
-        # rebuild both sides from the public solvers: the running trapezoid of
-        # the check must equal np.trapezoid over the reporting grid bit for bit
-        rng = np.random.default_rng(61)
-        A, B, C = random_dissipative_system(rng, 3, m=2, c_scale=0.5)
-        s = StochasticSystem(A, B, C=C)
-        cfg = SimConfig(T=1.0, dt=1e-2, n_paths=500, seed=67)
-        x0, values = rng.standard_normal(3), rng.standard_normal((cfg.n_steps, 2))
-        term = LinearInWTTerminal(rng.standard_normal(3), rng.standard_normal(3))
-        control = PiecewiseConstantControl(values)
-        rep = duality_check(s, x0, control, term, cfg, n_regression_times=13)
+    def test_rhs_is_the_exact_sum_of_the_solvers(self):
+        # rebuild both exact sides from the public solvers and the forward
+        # mean recursions m_{k+1} = F m_k + dt B u_k, c_{k+1} = F c_k + dt C m_k
+        # (c_k = E[W_k X_k]); lhs_mc is the path mean of <X_T, Y_T>
+        s, x0, control, term, cfg = self.linear_case()
+        rep = duality_check(s, x0, control, term, cfg)
 
-        sol = solve_dual_bsde(s, term, cfg, n_regression_times=13)
-        steps = np.round(sol.times / cfg.dt).astype(int)
-        integrand = np.stack([
-            np.einsum("pi,pi->p", np.broadcast_to(B @ values[min(k, cfg.n_steps - 1)], (cfg.n_paths, 3)), Y)
-            for k, Y in zip(steps, sol.Y)
-        ])
-        rhs_samples = sol.Y[0] @ x0 + np.trapezoid(integrand, x=sol.times, axis=0)
-        assert rep.rhs == float(np.mean(rhs_samples))
+        coef = solve_dual_bsde(s, term, cfg).coef
+        bu = cfg.dt * control.values @ s.B.T
+        assert rep.rhs == pytest.approx(x0 @ coef[0, 0] + np.sum(bu * coef[1:, 0]), rel=1e-12)
+        m, c = x0, np.zeros(3)
+        for k in range(cfg.n_steps):
+            m, c = m + cfg.dt * s.A @ m + bu[k], c + cfg.dt * (s.A @ c + s.C @ m)
+        assert rep.lhs == pytest.approx(m @ term.xi0 + c @ term.xi1, rel=1e-12)
+        assert rep.lhs == pytest.approx(rep.rhs, rel=1e-12)
 
         ens = simulate_forward(s, x0, control, cfg, record_steps=[])
-        lhs_samples = np.einsum("pi,pi->p", ens.states[:, -1], sol.Y[-1])
-        assert rep.lhs == pytest.approx(float(np.mean(lhs_samples)), rel=1e-12)
+        w_T = ens.increments.sum(axis=1)
+        y_T = term.xi0 + w_T[:, None] * term.xi1
+        assert rep.lhs_mc == pytest.approx(np.mean(np.sum(ens.states[:, -1] * y_T, axis=1)),
+                                           rel=1e-12)
+        assert rep.passed
 
     def test_stochastic_stderr_is_sample_standard_error(self):
-        # rebuild both sides' samples from the public solvers and compare with
-        # the textbook estimator, so centring cannot hide Monte Carlo noise
+        # rebuild the lhs samples from the public solver and compare with the
+        # textbook estimator, so centring cannot hide Monte Carlo noise
         rng = np.random.default_rng(43)
         A, B, C = random_dissipative_system(rng, 3, c_scale=0.5)
         s = StochasticSystem(A, B, C=C)
         cfg = SimConfig(T=1.0, dt=1e-2, n_paths=2000, seed=47)
         x0, xi, u = rng.standard_normal(3), rng.standard_normal(3), 0.5 * np.ones(s.m)
-        term = DeterministicTerminal(xi)
-        rep = duality_check(s, x0, ConstantControl(u), term, cfg)
+        rep = duality_check(s, x0, ConstantControl(u), DeterministicTerminal(xi), cfg)
 
         ens = simulate_forward(s, x0, ConstantControl(u), cfg, record_steps=[])
         lhs_samples = ens.states[:, -1] @ xi
-        sol = solve_dual_bsde(s, term, cfg)
-        rhs_samples = sol.Y[0] @ x0 + np.trapezoid(sol.Y @ (B @ u), x=sol.times, axis=0)
-        assert rep.lhs == pytest.approx(np.mean(lhs_samples), rel=1e-12)
-        assert rep.rhs == pytest.approx(np.mean(rhs_samples), rel=1e-12)
-
-        root_p = np.sqrt(cfg.n_paths)
-        expected = np.hypot(np.std(lhs_samples, ddof=1) / root_p,
-                            np.std(rhs_samples, ddof=1) / root_p)
+        assert rep.lhs_mc == pytest.approx(np.mean(lhs_samples), rel=1e-12)
+        expected = np.std(lhs_samples, ddof=1) / np.sqrt(cfg.n_paths)
         assert rep.stderr > 0
         assert rep.stderr == pytest.approx(expected, rel=1e-9)
+
+    @staticmethod
+    def linear_case():
+        """(system, x0, piecewise control, linear_in_wt terminal, cfg) with C != 0."""
+        rng = np.random.default_rng(61)
+        A, B, C = random_dissipative_system(rng, 3, m=2, c_scale=0.5)
+        cfg = SimConfig(T=1.0, dt=1e-2, n_paths=4000, seed=67)
+        control = PiecewiseConstantControl(rng.standard_normal((cfg.n_steps, 2)))
+        term = LinearInWTTerminal(rng.standard_normal(3), rng.standard_normal(3))
+        return StochasticSystem(A, B, C=C), rng.standard_normal(3), control, term, cfg
+
+    @pytest.mark.parametrize("helper, system", [
+        # (I + dt A) in place of (I + dt A^T) in the backward step
+        ("_dual_coefficients", lambda s: StochasticSystem(s.A.T, s.B, C=s.C)),
+        # C dropped from the backward lift (j + 1) dt C^T y_{j+1}
+        ("_dual_coefficients", lambda s: StochasticSystem(s.A, s.B)),
+        # a lift of (j + 2) dt: at degree 1 that is 2 dt C^T y_1, the lift of 2 C
+        ("_dual_coefficients", lambda s: StochasticSystem(s.A, s.B, C=2 * s.C)),
+        # the forward moments without their j dt C M_{j-1} term
+        ("_forward_moments", lambda s: StochasticSystem(s.A, s.B)),
+    ], ids=["backward-A-for-AT", "backward-lift-without-C", "backward-lift-(j+2)dt",
+            "forward-without-C"])
+    def test_each_mutant_fails(self, monkeypatch, helper, system):
+        # the helper runs on the mutated system in place of the one it is given
+        case = self.linear_case()
+        assert duality_check(*case).passed
+        original = getattr(bsde_module, helper)
+        monkeypatch.setattr(bsde_module, helper, lambda s, *args: original(system(s), *args))
+        assert not duality_check(*case).passed
+
+    def test_cancelling_sides_pass_on_the_scale_of_their_terms(self):
+        # x0 is orthogonal to y_0(0) and there is no control: both sides are
+        # round-off around 0, where 16 eps K (|lhs| + |rhs|) would fail a
+        # correct run; the gate's scale, the sizes of the products summed,
+        # does not
+        rng = np.random.default_rng(73)
+        A, B, C = random_dissipative_system(rng, 4, c_scale=0.5)
+        s = StochasticSystem(A, B, C=C)
+        cfg = SimConfig(T=0.5, dt=1e-2, n_paths=2000, seed=79)
+        term = DeterministicTerminal(rng.standard_normal(4))
+        y0 = solve_dual_bsde(s, term, cfg).coef[0, 0]
+        v = rng.standard_normal(4)
+        rep = duality_check(s, v - (v @ y0) / (y0 @ y0) * y0, ZeroControl(), term, cfg)
+        assert rep.passed
+        assert max(abs(rep.lhs), abs(rep.rhs)) < 1e-15
+        assert abs(rep.lhs - rep.rhs) > 16 * np.finfo(float).eps * cfg.n_steps * (
+            abs(rep.lhs) + abs(rep.rhs))
+
+    def test_feedback_with_a_linear_terminal_pairs_every_row(self, monkeypatch):
+        # under u = K X the rhs pairs dt B K M_1(k) with y_1(k + 1): the run
+        # passes, and dropping that row from the rhs fails
+        rng = np.random.default_rng(83)
+        A, B, C = random_dissipative_system(rng, 3, m=2, c_scale=0.5)
+        s = StochasticSystem(A, B, C=C)
+        cfg = SimConfig(T=1.0, dt=1e-2, n_paths=4000, seed=89)
+        case = (s, rng.standard_normal(3), FeedbackControl(-0.5 * rng.standard_normal((2, 3))),
+                LinearInWTTerminal(rng.standard_normal(3), rng.standard_normal(3)), cfg)
+        rep = duality_check(*case)
+        assert rep.feedback_control
+        assert rep.passed
+
+        moments = bsde_module._forward_moments
+
+        def without_w_row(*args):
+            M, rows = moments(*args)
+            return M, rows[:, :1]
+
+        monkeypatch.setattr(bsde_module, "_forward_moments", without_w_row)
+        dropped = duality_check(*case)
+        assert dropped.lhs == rep.lhs
+        assert not dropped.passed
+
+    def test_simulator_gate_fails_on_a_scaled_terminal(self, monkeypatch):
+        # Y_T on the paths 5 % too large moves lhs_mc only: the exact pair
+        # and its gate are untouched, and the simulator gate fails
+        case = self.linear_case()
+        clean = duality_check(*case)
+        solve = bsde_module.solve_dual_bsde
+
+        def scaled(*args):
+            sol = solve(*args)
+            sol.Y = np.concatenate([sol.Y[:-1], 1.05 * sol.Y[-1:]])
+            return sol
+
+        monkeypatch.setattr(bsde_module, "solve_dual_bsde", scaled)
+        rep = duality_check(*case)
+        assert (rep.lhs, rep.rhs) == (clean.lhs, clean.rhs)
+        assert rep.lhs_mc == pytest.approx(1.05 * clean.lhs_mc, rel=1e-12)
+        assert clean.passed
+        assert not rep.passed
 
 
 class TestAprioriBound:
