@@ -19,9 +19,6 @@ OpenBLAS the pool is left alone.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -32,6 +29,7 @@ from .systems import (
     StochasticSystem,
     SubspaceBasis,
     ToleranceConfig,
+    _one_blas_thread,
     as_matrix,
     lambda_set,
 )
@@ -51,43 +49,6 @@ CONDITION_TAGS = ("N1", "N2")
 
 APPROX_CONTROLLABLE = "ApproxControllable"
 NOT_APPROX_CONTROLLABLE = "NotApproxControllable"
-
-
-@functools.cache
-def _blas_threads():
-    """(get, set) of the OpenBLAS thread count behind ``numpy.linalg``, or
-    None when numpy links another BLAS.  dlsym on the extension's handle
-    also searches the libraries it links."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread and restore the previous count
-    after it, also when it raises; does nothing without OpenBLAS."""
-    pool = _blas_threads()
-    if pool is None:
-        yield
-        return
-    get, set_ = pool
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
 
 
 @dataclass(frozen=True)

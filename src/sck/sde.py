@@ -11,10 +11,25 @@ x0, and fundamental flows (n, n, n_paths), stored as (column, state, path),
 from the identity under the zero control.  It steps into two buffers used in
 turn, so an array it hands out is overwritten two steps later; public
 results keep paths-first shapes.
+
+The sweep runs each step on two threads under one OpenBLAS thread.  A
+step's draw does not depend on the state, so a helper thread draws dW_{k+1},
+into the one of two dW buffers not in use, while step k runs.  The rest of
+the step is two lists of tasks: the products F X_k and C X_k (one pair per
+column of a flow), then, on each half of the paths, the update that adds
+(C X_k) dW_k and B u_k dt and checks for blow-up.  A thread claims a task by
+a non-blocking acquire of its lock; the calling thread claims in list order,
+the helper in reverse once its draw is done.  The helper joins a step only
+by taking the step's gate lock, and then the two meet at a barrier between
+the lists; if the calling thread takes the gate first it runs the step
+alone while the draw goes on.  Whichever thread runs a task, it runs it
+whole and single-threaded, and the split into tasks is fixed, so the bits
+depend neither on the schedule nor on the host's core count.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -24,7 +39,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .exceptions import DimensionError, DomainError, StabilityError
-from .systems import StochasticSystem, as_matrix, as_vector
+from .systems import StochasticSystem, _one_blas_thread, as_matrix, as_vector
 
 __all__ = [
     "SimConfig",
@@ -90,10 +105,12 @@ class SimConfig:
         return self.dt * np.arange(self.n_steps + 1)
 
 
-def _step_normals(seed: int, step: int, n_paths: int) -> np.ndarray:
-    """Standard normals for one time step, keyed by (seed, step)."""
+def _step_normals(seed: int, step: int, n_paths: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Standard normals for one time step, keyed by (seed, step); drawn into
+    ``out`` when it is given."""
     ss = SeedSequence(entropy=int(seed), spawn_key=(int(step),))
-    return Generator(Philox(ss)).standard_normal(n_paths)
+    return Generator(Philox(ss)).standard_normal(n_paths, out=out)
 
 
 def _noise(cfg: SimConfig, steps: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
@@ -216,6 +233,22 @@ def _check_blowup(X: np.ndarray, step: int, dt: float):
         )
 
 
+def _product(M: np.ndarray, X: np.ndarray, out: np.ndarray):
+    """M X into the buffer ``out``."""
+    np.matmul(M, X, out=out)
+
+
+def _finish(out: np.ndarray, noise: np.ndarray, dw: np.ndarray, bu: Optional[np.ndarray],
+            step: int, dt: float):
+    """Complete an Euler step from F X in ``out`` and C X in ``noise``: add
+    (C X) dW and bu to ``out`` and check it for blow-up at ``step``."""
+    noise *= dw
+    out += noise
+    if bu is not None:
+        out += bu
+    _check_blowup(out, step, dt)
+
+
 def _euler_step(X: np.ndarray, F: np.ndarray, C: np.ndarray, dw: np.ndarray,
                 bu: Optional[np.ndarray], out: np.ndarray, noise: np.ndarray,
                 step: int, dt: float) -> np.ndarray:
@@ -226,13 +259,9 @@ def _euler_step(X: np.ndarray, F: np.ndarray, C: np.ndarray, dw: np.ndarray,
     (column, state, path).  With F = I + dt A and bu = B u dt, an (n, 1)
     column or (n, n_paths), this is X + (A X + B u) dt + C X dW.
     """
-    np.matmul(F, X, out=out)
-    np.matmul(C, X, out=noise)
-    noise *= dw
-    out += noise
-    if bu is not None:
-        out += bu
-    _check_blowup(out, step, dt)
+    _product(F, X, out)
+    _product(C, X, noise)
+    _finish(out, noise, dw, bu, step, dt)
     return out
 
 
@@ -244,19 +273,134 @@ def _initial_state(x0, sys: StochasticSystem) -> np.ndarray:
     return x0
 
 
+class _Helper:
+    """A thread beside the caller that runs one job at a time.
+
+    ``submit`` hands it a job and returns at once; ``wait`` blocks until the
+    job is done and re-raises what it raised; ``close`` waits for a job in
+    flight, then stops and joins the thread.  Two locks, held while idle,
+    pass the turns: the caller releases ``_go``, the thread ``_done``.
+    """
+
+    def __init__(self):
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._job, self._busy, self._error = None, False, None
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            if self._job is None:
+                return
+            fn, *args = self._job
+            try:
+                fn(*args)
+            except BaseException as exc:
+                self._error = exc
+            self._done.release()
+
+    def submit(self, fn, *args):
+        self._job, self._busy = (fn, *args), True
+        self._go.release()
+
+    def wait(self):
+        if self._busy:
+            self._done.acquire()
+            self._busy = False
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def close(self):
+        if self._busy:
+            self._done.acquire()
+            self._busy = False
+        self._job = None
+        self._go.release()
+        self._thread.join()
+
+
 def _sweep(sys: StochasticSystem, x0: np.ndarray, control: Control,
            cfg: SimConfig) -> Iterator[tuple[int, Optional[np.ndarray], np.ndarray]]:
     """The sweep :func:`_forward_sweep` returns, from x0: an n-vector for
     states, or an (n, n) block whose row j starts column j of a flow.
-    F = I + dt A and C are formed once per run."""
+    F = I + dt A and C are formed once per run.  Steps run on two threads
+    as the module docstring says; however the sweep ends (a blow-up, a
+    failed draw or a consumer closing it early), the helper's work in
+    flight is waited for, the helper joined and the OpenBLAS thread count
+    restored before the exception propagates.
+    """
     F, C = np.eye(sys.n) + cfg.dt * sys.A, sys.C
+    K, root = cfg.n_steps, np.sqrt(cfg.dt)
     X = np.repeat(x0[..., None], cfg.n_paths, axis=-1)
     nxt, noise = np.empty_like(X), np.empty_like(X)
-    yield 0, None, X.T
-    for k, dw in _noise(cfg, range(cfg.n_steps)):
-        bu = _bu_term(control, sys.B, k, X, cfg.dt)
-        X, nxt = _euler_step(X, F, C, dw, bu, nxt, noise, k + 1, cfg.dt), X
-        yield k + 1, dw, X.T
+    dws = np.empty((2, cfg.n_paths))  # dW_k lives in row k % 2
+    halves = (np.s_[..., :cfg.n_paths // 2], np.s_[..., cfg.n_paths // 2:])
+    barrier = threading.Barrier(2)
+
+    def draw(k: int):
+        dw = _step_normals(cfg.seed, k, cfg.n_paths, dws[k % 2])
+        dw *= root
+
+    def products(X: np.ndarray, out: np.ndarray) -> list[tuple]:
+        """F X into ``out`` and C X into ``noise``, per column of a flow."""
+        blocks = zip(X, out, noise) if X.ndim == 3 else [(X, out, noise)]
+        return [(threading.Lock(), _product, M, x, o)
+                for x, fx, cx in blocks for M, o in ((F, fx), (C, cx))]
+
+    def finishes(k: int, out: np.ndarray, dw: np.ndarray,
+                 bu: Optional[np.ndarray]) -> list[tuple]:
+        """The rest of step k on each half of the paths."""
+        bu = None if bu is None else np.broadcast_to(bu, out.shape)
+        return [(threading.Lock(), _finish, out[h], noise[h], dw[h[-1]],
+                 None if bu is None else bu[h], k + 1, cfg.dt) for h in halves]
+
+    def claim(tasks: list[tuple], reverse: bool = False):
+        for lock, fn, *args in reversed(tasks) if reverse else tasks:
+            if lock.acquire(blocking=False):
+                fn(*args)
+
+    def helper_step(k: int, prods: list[tuple], fins: list[tuple], gate: threading.Lock):
+        if k + 1 < K:
+            draw(k + 1)
+        if gate.acquire(blocking=False):
+            try:
+                claim(prods, reverse=True)
+            except BaseException:
+                barrier.abort()
+                raise
+            barrier.wait()  # every product is done and ``fins`` is filled in
+            claim(fins, reverse=True)
+
+    with _one_blas_thread():
+        helper = _Helper()
+        try:
+            helper.submit(draw, 0)
+            yield 0, None, X.T
+            for k in range(K):
+                helper.wait()  # dW_k is drawn
+                dw, prods, fins, gate = dws[k % 2], products(X, nxt), [], threading.Lock()
+                helper.submit(helper_step, k, prods, fins, gate)
+                fins += finishes(k, nxt, dw, _bu_term(control, sys.B, k, X, cfg.dt))
+                claim(prods)
+                joined = not gate.acquire(blocking=False)
+                if joined:
+                    try:
+                        barrier.wait()
+                    except threading.BrokenBarrierError:
+                        helper.wait()  # raises what broke it
+                        raise
+                claim(fins)
+                if joined:
+                    helper.wait()
+                X, nxt = nxt, X
+                yield k + 1, dw, X.T
+        finally:
+            barrier.abort()
+            helper.close()
 
 
 def _forward_sweep(

@@ -9,6 +9,10 @@ part enters the joint-dissipativity test.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +50,59 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{name} contains non-finite entries")
     return x
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the OpenBLAS thread count behind ``numpy.linalg``, or
+    None when numpy links another BLAS.  dlsym on the extension's handle
+    also searches the libraries it links."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+# blocks inside _one_blas_thread, and the count the last one out restores
+_pinned = {"blocks": 0, "before": None}
+_pin_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the previous count
+    after it, also when it raises; does nothing without OpenBLAS.
+
+    The count is one setting for the whole process, so nested blocks and
+    blocks on other threads (concurrent sweeps) share one pin: the first in
+    sets one thread and the last out restores the count it found.
+    """
+    pool = _blas_threads()
+    if pool is None:
+        yield
+        return
+    get, set_ = pool
+    with _pin_lock:
+        if not _pinned["blocks"]:
+            _pinned["before"] = get()
+            set_(1)
+        _pinned["blocks"] += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pinned["blocks"] -= 1
+            if not _pinned["blocks"]:
+                set_(_pinned["before"])
 
 
 def _square(M: np.ndarray, name: str) -> np.ndarray:

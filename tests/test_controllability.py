@@ -14,7 +14,7 @@ from sck import (
     strict_invariant_subspace,
     verdict,
 )
-from sck import controllability
+from sck import controllability, systems
 from sck.exceptions import DomainError
 from sck.galerkin import polynomial, trigonometric
 
@@ -377,14 +377,14 @@ class TestJordanBlocks:
             assert kalman_hautus_rank(s.A, s.B)[0] == controllable
 
 
-@pytest.mark.skipif(controllability._blas_threads() is None,
+@pytest.mark.skipif(systems._blas_threads() is None,
                     reason="numpy.linalg does not run on OpenBLAS")
 class TestOneBlasThread:
     @pytest.fixture
     def threads(self):
         """The OpenBLAS thread-count getter, with the pool at 2 threads, so
         that pinning to 1 and restoring are both visible."""
-        get, set_ = controllability._blas_threads()
+        get, set_ = systems._blas_threads()
         before = get()
         set_(2)
         yield get
@@ -439,7 +439,7 @@ class TestOneBlasThread:
         assert threads() == 2
 
     def test_no_pool_is_a_no_op(self, threads, monkeypatch):
-        monkeypatch.setattr(controllability, "_blas_threads", lambda: None)
+        monkeypatch.setattr(systems, "_blas_threads", lambda: None)
         seen = self.record_threads(monkeypatch, threads, "_spectral_points")
         check_condition(example2_system(), [], "N1")
         assert seen and set(seen) == {2}
@@ -452,7 +452,7 @@ class TestOneBlasThread:
                     check_condition(s, TestParityScan.LAMBDAS, "N2")]
 
         pinned = scans()
-        monkeypatch.setattr(controllability, "_blas_threads", lambda: None)
+        monkeypatch.setattr(systems, "_blas_threads", lambda: None)
         default = scans()
         for a, b in zip(pinned, default):
             assert a.points == b.points

@@ -111,3 +111,45 @@ def test_decisions_agree_across_kernels():
         other = digest(coretype)
         assert other["core"].lower() == coretype.lower(), "OPENBLAS_CORETYPE was not applied"
         assert_same(d, other["digest"], f"digest[{coretype}]")
+
+
+SWEEPS = """
+import hashlib, json
+import numpy as np
+from sck import (ConstantControl, DeterministicTerminal, SimConfig, StochasticSystem,
+                 duality_check, ensemble_moments)
+
+
+def system(n):
+    rng = np.random.default_rng(n)
+    G, C = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return StochasticSystem(G - (np.linalg.norm(G, 2) + 0.5) * np.eye(n),
+                            rng.standard_normal((n, 1)), C=0.5 * C / np.linalg.norm(C, 2))
+
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+u = ConstantControl(np.ones(1))
+x0 = np.random.default_rng(100).standard_normal(64)
+moments = ensemble_moments(system(64), x0, u, SimConfig(T=0.1, dt=0.01, n_paths=3001, seed=0))
+rep = duality_check(system(16), x0[:16], u, DeterministicTerminal(x0[16:32]),
+                    SimConfig(T=0.1, dt=0.01, n_paths=20001, seed=5))
+print(json.dumps({"moments": digest(*moments),
+                  "duality": digest(np.array([rep.lhs, rep.rhs, rep.lhs_mc, rep.stderr]))}))
+"""
+
+
+def test_sweeps_bitwise_equal_across_blas_thread_counts():
+    # an odd path count splits unevenly over two OpenBLAS threads; the
+    # sweep's products run on one thread each, so the bits must not move
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    runs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        out = subprocess.run([sys.executable, "-c", SWEEPS], env=env,
+                             capture_output=True, text=True, check=True)
+        runs.append(json.loads(out.stdout))
+    assert runs[0] == runs[1]

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,7 +19,7 @@ from sck import (
     simulate_flow,
     simulate_forward,
 )
-from sck import sde
+from sck import sde, systems
 from sck.exceptions import DimensionError, DomainError, StabilityError
 from sck.sde import BLOWUP_LIMIT, _check_blowup
 
@@ -314,6 +317,199 @@ class TestEnsembleMoments:
         assert np.array_equal(times, ens.times)
 
 
+class TestTwoThreadSweep:
+    """The sweep's helper thread: every way a sweep ends unwinds it, and
+    which thread runs which task of a step moves no bit."""
+
+    @pytest.fixture
+    def unwound(self):
+        """A check that the helper is joined and the OpenBLAS pool is back at
+        2 threads (set here so that pinning to 1 shows); the pool part is
+        skipped without OpenBLAS."""
+        blas = systems._blas_threads()
+        before = blas[0]() if blas else None
+        if blas:
+            blas[1](2)
+        threads = threading.active_count()
+
+        def check(inside=False):
+            assert threading.active_count() == threads + inside
+            if blas:
+                assert blas[0]() == (1 if inside else 2)
+
+        yield check
+        if blas:
+            blas[1](before)
+
+    def test_stability_error_unwinds(self, unwound):
+        s = StochasticSystem(np.array([[50.0]]), np.zeros((1, 1)))
+        cfg = SimConfig(T=10.0, dt=1.0, n_paths=1001, seed=0)
+        with pytest.raises(StabilityError, match="at step 8 "):
+            simulate_forward(s, [1.0], ZeroControl(), cfg)
+        unwound()
+
+    def test_consumer_closing_early_unwinds(self, unwound):
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=1001, seed=0)
+        sweep = sde._forward_sweep(scalar_system(), [1.0], ZeroControl(), cfg)
+        unwound()  # nothing starts before the sweep is iterated
+        assert [k for k, _, _ in (next(sweep), next(sweep))] == [0, 1]
+        unwound(inside=True)
+        sweep.close()
+        unwound()
+
+    def test_failing_draw_unwinds(self, unwound, monkeypatch):
+        boom = RuntimeError("draw failed")
+        real = sde._step_normals
+
+        def failing(seed, step, n_paths, out=None):
+            if step == 3:
+                raise boom
+            return real(seed, step, n_paths, out)
+
+        monkeypatch.setattr(sde, "_step_normals", failing)
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=1001, seed=0)
+        seen = []
+        with pytest.raises(RuntimeError) as info:
+            for k, _, _ in sde._forward_sweep(scalar_system(), [1.0], ZeroControl(), cfg):
+                seen.append(k)
+        assert info.value is boom
+        assert seen == [0, 1, 2, 3]  # X_3 needs dW_2 only
+        unwound()
+
+    @pytest.mark.parametrize("failing", ["helper", "consumer"])
+    def test_failure_beside_the_step_barrier_unwinds(self, unwound, monkeypatch, failing):
+        # one thread fails while the other will wait for it at the step's
+        # barrier: the helper in a product, or the consuming thread before
+        # its claims.  The sweep runs in a daemon thread, so a hang fails.
+        boom, started, consumer = RuntimeError("failed"), threading.Event(), {}
+        real_product, real_bu = sde._product, sde._bu_term
+
+        def product(M, X, out):
+            if threading.get_ident() != consumer["id"]:
+                started.set()
+                if failing == "helper":
+                    raise boom
+            real_product(M, X, out)
+
+        def late_bu(*args):
+            assert started.wait(10), "the helper never took a product"
+            if failing == "consumer":
+                raise boom
+            return real_bu(*args)
+
+        def consume():
+            consumer["id"] = threading.get_ident()
+            try:
+                simulate_forward(scalar_system(), [1.0], ZeroControl(),
+                                 SimConfig(T=1.0, dt=0.1, n_paths=1001, seed=0))
+            except BaseException as exc:
+                consumer["raised"] = exc
+
+        monkeypatch.setattr(sde, "_product", product)
+        monkeypatch.setattr(sde, "_bu_term", late_bu)
+        thread = threading.Thread(target=consume, daemon=True)
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive(), "the sweep hung"
+        assert consumer["raised"] is boom
+        unwound()
+
+    def test_concurrent_sweeps_under_fast_switching(self, unwound):
+        # three consumers, each sweep with its own helper: six threads on
+        # fewer cores, switching every 10 us; every result must match a
+        # serial run, and the shared OpenBLAS pin must come back to 2
+        rng = np.random.default_rng(67)
+        s = random_system(rng, 3, 1)
+        cfg = SimConfig(T=0.2, dt=0.01, n_paths=257, seed=23)
+        gain = FeedbackControl(0.3 * rng.standard_normal((1, 3)))
+
+        def run():
+            fw = simulate_forward(s, np.ones(3), gain, cfg)
+            return fw.states.tobytes() + simulate_flow(s, cfg).flows.tobytes()
+
+        expected, results = run(), []
+
+        def consume():
+            for _ in range(3):
+                results.append(run())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=consume, daemon=True) for _ in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a sweep hung"
+        assert len(results) == 9 and all(r == expected for r in results)
+        unwound()
+
+    def test_claim_winner_moves_no_bit(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        s = random_system(rng, 3, 2)
+        gain = FeedbackControl(0.3 * rng.standard_normal((2, 3)))
+        cfg = SimConfig(T=0.06, dt=0.01, n_paths=301, seed=19)
+        # one C X per step for states, one per column for flows
+        runs = [(1, lambda: simulate_forward(s, np.ones(3), gain, cfg)),
+                (3, lambda: simulate_flow(s, cfg))]
+        takers, me = [], threading.get_ident()
+        step = {"products": 0, "done": None}
+
+        def sweeps():
+            """Every array of both runs as bytes, and per run whether this
+            thread took each C X."""
+            out, taken = [], []
+            for per_step, run in runs:
+                takers.clear()
+                step["products"], step["done"] = per_step, threading.Semaphore(0)
+                out += [a.tobytes() for a in vars(run()).values()]
+                taken.append(list(takers))
+            return out, taken
+
+        free, _ = sweeps()
+        real_product, real_normals, real_bu = sde._product, sde._step_normals, sde._bu_term
+        C = s.C
+
+        def product(M, X, out):
+            real_product(M, X, out)
+            if np.array_equal(M, C):
+                takers.append(threading.get_ident() == me)
+                step["done"].release()
+
+        def after_products():
+            for _ in range(step["products"]):
+                assert step["done"].acquire(timeout=10), "the other thread never took a product"
+
+        def late_normals(seed, k, n_paths, out=None):
+            if k:  # dW_{k+1} is drawn during step k
+                after_products()
+            return real_normals(seed, k, n_paths, out)
+
+        def late_bu(*args):
+            after_products()
+            return real_bu(*args)
+
+        monkeypatch.setattr(sde, "_product", product)
+        K = cfg.n_steps
+        # the helper draws, and so claims, only after this thread took every
+        # product; at the last step it draws nothing and may win
+        with monkeypatch.context() as m:
+            m.setattr(sde, "_step_normals", late_normals)
+            mine, taken = sweeps()
+        for (per_step, _), t in zip(runs, taken):
+            assert len(t) == per_step * K and all(t[:-per_step])
+        # this thread claims only after the helper took every C X
+        with monkeypatch.context() as m:
+            m.setattr(sde, "_bu_term", late_bu)
+            helpers, taken = sweeps()
+        for (per_step, _), t in zip(runs, taken):
+            assert len(t) == per_step * K and not any(t)
+        assert mine == free and helpers == free
+
+
 class TestGirsanov:
     def test_zero_lambda_is_exact(self):
         rng = np.random.default_rng(31)
@@ -398,7 +594,7 @@ class TestGirsanov:
         def no_noise(*args):
             raise AssertionError("noise drawn before x0 was checked")
 
-        monkeypatch.setattr(sde, "_noise", no_noise)
+        monkeypatch.setattr(sde, "_step_normals", no_noise)
         with pytest.raises(DimensionError, match="x0"):
             girsanov_check(s, 0.5, np.ones(3), ZeroControl(), cfg, [0.1])
 
