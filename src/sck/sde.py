@@ -12,23 +12,24 @@ from the identity under the zero control.  It steps into two buffers used in
 turn, so an array it hands out is overwritten two steps later; public
 results keep paths-first shapes.
 
-The sweep runs each step on two threads under one OpenBLAS thread.  A
-step's draw does not depend on the state, so a helper thread draws dW_{k+1},
-into the one of two dW buffers not in use, while step k runs.  The rest of
-the step is two lists of tasks: the products F X_k and C X_k (one pair per
-column of a flow), then, on each half of the paths, the update that adds
-(C X_k) dW_k and B u_k dt and checks for blow-up.  A thread claims a task by
-a non-blocking acquire of its lock; the calling thread claims in list order,
-the helper in reverse once its draw is done.  The helper joins a step only
-by taking the step's gate lock, and then the two meet at a barrier between
-the lists; if the calling thread takes the gate first it runs the step
-alone while the draw goes on.  Whichever thread runs a task, it runs it
-whole and single-threaded, and the split into tasks is fixed, so the bits
-depend neither on the schedule nor on the host's core count.
+The sweep runs each step on two threads under one OpenBLAS thread.  Every
+piece of work is a task that whichever thread claims it first runs whole:
+the draw of a step's dW, the products F X_k and C X_k (one pair per column
+of a flow), and, on each half of the paths, the update that adds
+(C X_k) dW_k and B u_k dt and checks for blow-up.  A step's draw does not
+depend on the state, so the helper draws up to two steps ahead, into a ring
+of three dW buffers, and then claims the step's products from the back
+while the calling thread claims them from the front; the update tasks start
+once every product is done.  The calling thread runs any task the helper
+has not begun, and waits only for tasks the helper is running, so a late
+helper costs parallelism but never a wait for it to start.  The split into
+tasks is fixed and each runs single-threaded, so the bits depend neither
+on the schedule nor on the host's core count.
 """
 
 from __future__ import annotations
 
+import collections
 import threading
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -273,53 +274,74 @@ def _initial_state(x0, sys: StochasticSystem) -> np.ndarray:
     return x0
 
 
-class _Helper:
-    """A thread beside the caller that runs one job at a time.
+class _Task:
+    """A piece of a sweep step that whichever thread claims it first runs
+    whole.  The claim is a non-blocking acquire of ``claim``; ``done`` is
+    held until the task has run, and a failure is kept for every waiter."""
 
-    ``submit`` hands it a job and returns at once; ``wait`` blocks until the
-    job is done and re-raises what it raised; ``close`` waits for a job in
-    flight, then stops and joins the thread.  Two locks, held while idle,
-    pass the turns: the caller releases ``_go``, the thread ``_done``.
-    """
+    __slots__ = ("fn", "args", "claim", "done", "error")
+
+    def __init__(self, fn, *args):
+        self.fn, self.args, self.error = fn, args, None
+        self.claim, self.done = threading.Lock(), threading.Lock()
+        self.done.acquire()
+
+    def try_run(self) -> bool:
+        """Run the task here if no thread has claimed it; True if it ran."""
+        if not self.claim.acquire(blocking=False):
+            return False
+        try:
+            self.fn(*self.args)
+        except BaseException as exc:
+            self.error = exc
+            raise
+        finally:
+            self.done.release()
+        return True
+
+    def settle(self):
+        """Run the task here if it is unclaimed, else wait until it has run;
+        either way re-raise what it raised."""
+        if not self.try_run():
+            with self.done:
+                pass
+            if self.error is not None:
+                raise self.error
+
+
+class _Helper:
+    """A thread beside the caller that runs submitted jobs in turn.  Jobs
+    only run tasks, which keep their own failures for the caller, so a job
+    that fails just ends.  ``close`` drops the jobs not yet started and
+    joins the thread."""
 
     def __init__(self):
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._job, self._busy, self._error = None, False, None
+        self._jobs, self._ready, self._closing = collections.deque(), threading.Semaphore(0), False
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
 
     def _serve(self):
         while True:
-            self._go.acquire()
-            if self._job is None:
+            self._ready.acquire()
+            job = self._jobs.popleft()
+            if job is None:
                 return
-            fn, *args = self._job
+            if self._closing:
+                continue
+            fn, *args = job
             try:
                 fn(*args)
-            except BaseException as exc:
-                self._error = exc
-            self._done.release()
+            except BaseException:  # kept by the failed task, re-raised where it is settled
+                pass
 
     def submit(self, fn, *args):
-        self._job, self._busy = (fn, *args), True
-        self._go.release()
-
-    def wait(self):
-        if self._busy:
-            self._done.acquire()
-            self._busy = False
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
+        self._jobs.append((fn, *args))
+        self._ready.release()
 
     def close(self):
-        if self._busy:
-            self._done.acquire()
-            self._busy = False
-        self._job = None
-        self._go.release()
+        self._closing = True
+        self._jobs.append(None)
+        self._ready.release()
         self._thread.join()
 
 
@@ -329,77 +351,71 @@ def _sweep(sys: StochasticSystem, x0: np.ndarray, control: Control,
     states, or an (n, n) block whose row j starts column j of a flow.
     F = I + dt A and C are formed once per run.  Steps run on two threads
     as the module docstring says; however the sweep ends (a blow-up, a
-    failed draw or a consumer closing it early), the helper's work in
-    flight is waited for, the helper joined and the OpenBLAS thread count
-    restored before the exception propagates.
+    failed draw or a consumer closing it early), the helper is stopped and
+    joined and the OpenBLAS thread count restored before the exception
+    propagates.
     """
     F, C = np.eye(sys.n) + cfg.dt * sys.A, sys.C
     K, root = cfg.n_steps, np.sqrt(cfg.dt)
     X = np.repeat(x0[..., None], cfg.n_paths, axis=-1)
     nxt, noise = np.empty_like(X), np.empty_like(X)
-    dws = np.empty((2, cfg.n_paths))  # dW_k lives in row k % 2
+    # dW_j lives in row j % 3: step k reads dW_k and hands it to the consumer
+    # until step k + 1 starts, and only dW_{k+1} and dW_{k+2} are drawn meanwhile
+    dws = np.empty((3, cfg.n_paths))
     halves = (np.s_[..., :cfg.n_paths // 2], np.s_[..., cfg.n_paths // 2:])
-    barrier = threading.Barrier(2)
 
-    def draw(k: int):
-        dw = _step_normals(cfg.seed, k, cfg.n_paths, dws[k % 2])
+    def draw(j: int):
+        dw = _step_normals(cfg.seed, j, cfg.n_paths, dws[j % 3])
         dw *= root
 
-    def products(X: np.ndarray, out: np.ndarray) -> list[tuple]:
+    def products(X: np.ndarray, out: np.ndarray) -> list[_Task]:
         """F X into ``out`` and C X into ``noise``, per column of a flow."""
         blocks = zip(X, out, noise) if X.ndim == 3 else [(X, out, noise)]
-        return [(threading.Lock(), _product, M, x, o)
-                for x, fx, cx in blocks for M, o in ((F, fx), (C, cx))]
+        return [_Task(_product, M, x, o) for x, fx, cx in blocks for M, o in ((F, fx), (C, cx))]
 
     def finishes(k: int, out: np.ndarray, dw: np.ndarray,
-                 bu: Optional[np.ndarray]) -> list[tuple]:
+                 bu: Optional[np.ndarray]) -> list[_Task]:
         """The rest of step k on each half of the paths."""
         bu = None if bu is None else np.broadcast_to(bu, out.shape)
-        return [(threading.Lock(), _finish, out[h], noise[h], dw[h[-1]],
-                 None if bu is None else bu[h], k + 1, cfg.dt) for h in halves]
+        return [_Task(_finish, out[h], noise[h], dw[h[-1]], None if bu is None else bu[h],
+                      k + 1, cfg.dt) for h in halves]
 
-    def claim(tasks: list[tuple], reverse: bool = False):
-        for lock, fn, *args in reversed(tasks) if reverse else tasks:
-            if lock.acquire(blocking=False):
-                fn(*args)
+    def helper_job(ahead: list[_Task], prods: list[_Task], fins: list[_Task]):
+        for task in ahead + prods[::-1]:
+            task.try_run()
+        for task in prods:  # every product is done before any finish starts
+            task.settle()
+        for task in fins[::-1]:
+            task.try_run()
 
-    def helper_step(k: int, prods: list[tuple], fins: list[tuple], gate: threading.Lock):
-        if k + 1 < K:
-            draw(k + 1)
-        if gate.acquire(blocking=False):
-            try:
-                claim(prods, reverse=True)
-            except BaseException:
-                barrier.abort()
-                raise
-            barrier.wait()  # every product is done and ``fins`` is filled in
-            claim(fins, reverse=True)
-
+    draws = {j: _Task(draw, j) for j in range(min(K, 2))}
     with _one_blas_thread():
         helper = _Helper()
         try:
-            helper.submit(draw, 0)
+            helper.submit(helper_job, list(draws.values()), [], [])
             yield 0, None, X.T
             for k in range(K):
-                helper.wait()  # dW_k is drawn
-                dw, prods, fins, gate = dws[k % 2], products(X, nxt), [], threading.Lock()
-                helper.submit(helper_step, k, prods, fins, gate)
-                fins += finishes(k, nxt, dw, _bu_term(control, sys.B, k, X, cfg.dt))
-                claim(prods)
-                joined = not gate.acquire(blocking=False)
-                if joined:
+                draws.pop(k).settle()  # dW_k, drawn here if the helper has not begun
+                if k + 2 < K:
+                    draws[k + 2] = _Task(draw, k + 2)
+                ahead = [draws[j] for j in (k + 1, k + 2) if j < K]
+                dw = dws[k % 3]
+                prods = products(X, nxt)
+                fins = finishes(k, nxt, dw, _bu_term(control, sys.B, k, X, cfg.dt))
+                helper.submit(helper_job, ahead, prods, fins)
+                for tasks in (prods, fins):
+                    for task in tasks:
+                        task.try_run()
+                    for task in tasks:
+                        task.settle()
+                for task in ahead:
                     try:
-                        barrier.wait()
-                    except threading.BrokenBarrierError:
-                        helper.wait()  # raises what broke it
-                        raise
-                claim(fins)
-                if joined:
-                    helper.wait()
+                        task.try_run()
+                    except Exception:  # kept by the task, re-raised at its own step
+                        pass
                 X, nxt = nxt, X
                 yield k + 1, dw, X.T
         finally:
-            barrier.abort()
             helper.close()
 
 

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -341,11 +342,29 @@ class TestTwoThreadSweep:
         if blas:
             blas[1](before)
 
+    @staticmethod
+    def bounded(fn):
+        """What ``fn`` raises, run in a daemon thread so that a hang fails
+        the test instead of stalling it; None if it returns."""
+        raised = []
+
+        def run():
+            try:
+                fn()
+            except BaseException as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive(), "the sweep hung"
+        return raised[0] if raised else None
+
     def test_stability_error_unwinds(self, unwound):
         s = StochasticSystem(np.array([[50.0]]), np.zeros((1, 1)))
         cfg = SimConfig(T=10.0, dt=1.0, n_paths=1001, seed=0)
-        with pytest.raises(StabilityError, match="at step 8 "):
-            simulate_forward(s, [1.0], ZeroControl(), cfg)
+        raised = self.bounded(lambda: simulate_forward(s, [1.0], ZeroControl(), cfg))
+        assert isinstance(raised, StabilityError) and "at step 8 " in str(raised)
         unwound()
 
     def test_consumer_closing_early_unwinds(self, unwound):
@@ -354,7 +373,7 @@ class TestTwoThreadSweep:
         unwound()  # nothing starts before the sweep is iterated
         assert [k for k, _, _ in (next(sweep), next(sweep))] == [0, 1]
         unwound(inside=True)
-        sweep.close()
+        assert self.bounded(sweep.close) is None
         unwound()
 
     def test_failing_draw_unwinds(self, unwound, monkeypatch):
@@ -369,49 +388,40 @@ class TestTwoThreadSweep:
         monkeypatch.setattr(sde, "_step_normals", failing)
         cfg = SimConfig(T=1.0, dt=0.1, n_paths=1001, seed=0)
         seen = []
-        with pytest.raises(RuntimeError) as info:
+
+        def consume():
             for k, _, _ in sde._forward_sweep(scalar_system(), [1.0], ZeroControl(), cfg):
                 seen.append(k)
-        assert info.value is boom
+
+        assert self.bounded(consume) is boom
         assert seen == [0, 1, 2, 3]  # X_3 needs dW_2 only
         unwound()
 
     @pytest.mark.parametrize("failing", ["helper", "consumer"])
-    def test_failure_beside_the_step_barrier_unwinds(self, unwound, monkeypatch, failing):
-        # one thread fails while the other will wait for it at the step's
-        # barrier: the helper in a product, or the consuming thread before
-        # its claims.  The sweep runs in a daemon thread, so a hang fails.
-        boom, started, consumer = RuntimeError("failed"), threading.Event(), {}
-        real_product, real_bu = sde._product, sde._bu_term
+    def test_failing_product_on_either_thread_unwinds(self, unwound, monkeypatch, failing):
+        # the consuming thread starts its first product only once the helper
+        # has taken one, so each thread holds a product the other settles
+        boom, helper_took, consumer = RuntimeError("failed"), threading.Event(), []
+        real_product = sde._product
 
         def product(M, X, out):
-            if threading.get_ident() != consumer["id"]:
-                started.set()
+            if threading.get_ident() not in consumer:
+                helper_took.set()
                 if failing == "helper":
+                    raise boom
+            else:
+                assert helper_took.wait(10), "the helper never took a product"
+                if failing == "consumer":
                     raise boom
             real_product(M, X, out)
 
-        def late_bu(*args):
-            assert started.wait(10), "the helper never took a product"
-            if failing == "consumer":
-                raise boom
-            return real_bu(*args)
-
         def consume():
-            consumer["id"] = threading.get_ident()
-            try:
-                simulate_forward(scalar_system(), [1.0], ZeroControl(),
-                                 SimConfig(T=1.0, dt=0.1, n_paths=1001, seed=0))
-            except BaseException as exc:
-                consumer["raised"] = exc
+            consumer.append(threading.get_ident())
+            simulate_forward(scalar_system(), [1.0], ZeroControl(),
+                             SimConfig(T=1.0, dt=0.1, n_paths=1001, seed=0))
 
         monkeypatch.setattr(sde, "_product", product)
-        monkeypatch.setattr(sde, "_bu_term", late_bu)
-        thread = threading.Thread(target=consume, daemon=True)
-        thread.start()
-        thread.join(30)
-        assert not thread.is_alive(), "the sweep hung"
-        assert consumer["raised"] is boom
+        assert self.bounded(consume) is boom
         unwound()
 
     def test_concurrent_sweeps_under_fast_switching(self, unwound):
@@ -452,61 +462,46 @@ class TestTwoThreadSweep:
         s = random_system(rng, 3, 2)
         gain = FeedbackControl(0.3 * rng.standard_normal((2, 3)))
         cfg = SimConfig(T=0.06, dt=0.01, n_paths=301, seed=19)
-        # one C X per step for states, one per column for flows
-        runs = [(1, lambda: simulate_forward(s, np.ones(3), gain, cfg)),
-                (3, lambda: simulate_flow(s, cfg))]
-        takers, me = [], threading.get_ident()
-        step = {"products": 0, "done": None}
+        C, me, takers = s.C, threading.get_ident(), []
 
         def sweeps():
-            """Every array of both runs as bytes, and per run whether this
-            thread took each C X."""
-            out, taken = [], []
-            for per_step, run in runs:
-                takers.clear()
-                step["products"], step["done"] = per_step, threading.Semaphore(0)
-                out += [a.tobytes() for a in vars(run()).values()]
-                taken.append(list(takers))
-            return out, taken
+            """Every array of both runs as bytes, and whether this thread
+            took each C X (one per step for states, one per column for
+            flows)."""
+            takers.clear()
+            ens = [simulate_forward(s, np.ones(3), gain, cfg), simulate_flow(s, cfg)]
+            return [a.tobytes() for e in ens for a in vars(e).values()], list(takers)
 
         free, _ = sweeps()
-        real_product, real_normals, real_bu = sde._product, sde._step_normals, sde._bu_term
-        C = s.C
+        real_product, real_try_run = sde._product, sde._Task.try_run
 
         def product(M, X, out):
-            real_product(M, X, out)
             if np.array_equal(M, C):
                 takers.append(threading.get_ident() == me)
-                step["done"].release()
+            real_product(M, X, out)
 
-        def after_products():
-            for _ in range(step["products"]):
-                assert step["done"].acquire(timeout=10), "the other thread never took a product"
-
-        def late_normals(seed, k, n_paths, out=None):
-            if k:  # dW_{k+1} is drawn during step k
-                after_products()
-            return real_normals(seed, k, n_paths, out)
-
-        def late_bu(*args):
-            after_products()
-            return real_bu(*args)
+        def delayed(on_this_thread):
+            """try_run that first sleeps 20 ms on one thread, for a task no
+            thread has claimed (on this thread: products only)."""
+            def try_run(task):
+                mine = threading.get_ident() == me
+                if (mine == on_this_thread and not task.claim.locked()
+                        and (not mine or task.fn is product)):
+                    time.sleep(0.02)
+                return real_try_run(task)
+            return try_run
 
         monkeypatch.setattr(sde, "_product", product)
-        K = cfg.n_steps
-        # the helper draws, and so claims, only after this thread took every
-        # product; at the last step it draws nothing and may win
-        with monkeypatch.context() as m:
-            m.setattr(sde, "_step_normals", late_normals)
-            mine, taken = sweeps()
-        for (per_step, _), t in zip(runs, taken):
-            assert len(t) == per_step * K and all(t[:-per_step])
-        # this thread claims only after the helper took every C X
-        with monkeypatch.context() as m:
-            m.setattr(sde, "_bu_term", late_bu)
-            helpers, taken = sweeps()
-        for (per_step, _), t in zip(runs, taken):
-            assert len(t) == per_step * K and not any(t)
+        runs = {}
+        for helper_first in (False, True):
+            with monkeypatch.context() as m:
+                m.setattr(sde._Task, "try_run", delayed(on_this_thread=helper_first))
+                runs[helper_first] = sweeps()
+        steps = cfg.n_steps * (1 + 3)
+        mine, taken = runs[False]
+        assert len(taken) == steps and all(taken)  # the helper was always late
+        helpers, taken = runs[True]
+        assert len(taken) == steps and not any(taken)  # this thread was always late
         assert mine == free and helpers == free
 
 
