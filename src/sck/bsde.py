@@ -38,8 +38,8 @@ from .sde import (
     SimConfig,
     _bu_term,
     _check_blowup,
+    _draw,
     _forward_sweep,
-    _noise,
 )
 from .systems import StochasticSystem, _expm, as_vector
 from .systems import yosida as yosida_pair
@@ -170,10 +170,11 @@ def _brownian_at(cfg: SimConfig, steps: np.ndarray) -> np.ndarray:
     """W at each of the increasing ``steps`` (the first being 0), shape
     (len(steps), n_paths), in one pass over the noise."""
     w = np.zeros((len(steps), cfg.n_paths))
+    cur, dw = np.zeros(cfg.n_paths), np.empty(cfg.n_paths)
     j = 1
-    cur = w[0]
-    for k, dw in _noise(cfg, range(steps[-1])):
-        cur = cur + dw
+    for k in range(steps[-1]):
+        _draw(cfg, k, dw)
+        cur += dw
         if k + 1 == steps[j]:
             w[j] = cur
             j += 1

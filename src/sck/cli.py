@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, bsde, controllability, galerkin, sde, systems
 from .config import ConfigError, RunConfig, parse_run_config
-from .exceptions import DomainError, NumericsError
+from .exceptions import DimensionError, DomainError, NumericsError
 
 # Keys shared by a payload and its CSV header.  _fields reads each key from the
 # attribute of the same name, or from _ATTRIBUTE[key] where the name differs.
@@ -191,7 +191,7 @@ def _girsanov(cfg: RunConfig) -> dict:
     dts = cfg.require("girsanov.dt_list")
     try:
         points = sde.girsanov_check(system, lam, x0, cfg.control, sim, dts)
-    except DomainError as exc:  # each names dt_list, checked before any simulation
+    except (DomainError, DimensionError) as exc:  # each names dt_list; checked before simulating
         raise ConfigError(f"girsanov.{exc}") from exc
     return {
         "lambda": lam,

@@ -6,17 +6,21 @@ step block, so every value is a pure function of (seed, path, step): results
 are reproducible, independent of evaluation order, and any sub-block of
 steps can be redrawn on demand without materialising the whole array.
 
-One forward sweep steps every ensemble paths-last: states (n, n_paths) from
-x0, and fundamental flows (n, n, n_paths), stored as (column, state, path),
-from the identity under the zero control.  It steps into two buffers used in
-turn, so an array it hands out is overwritten two steps later; public
-results keep paths-first shapes.
+One forward sweep steps every ensemble paths-last, as lanes on one noise: a
+lane is an (n, n_paths) block stepped by its own pair (F, C) = (I + dt A, C),
+and every lane reads the same dW.  States are one lane from x0; a
+fundamental flow is n lanes with the same pair, started from the columns of
+the identity under the zero control, so its (n, n, n_paths) buffer is stored
+as (column, state, path); ``girsanov_check`` runs the original equation and
+the shifted one, (I + dt (A + lam C), C + lam I), as two lanes.  The sweep
+steps into two buffers used in turn, so an array it hands out is overwritten
+two steps later; public results keep paths-first shapes.
 
 The sweep runs each step on two threads under one OpenBLAS thread.  Every
 piece of work is a task that whichever thread claims it first runs whole:
-the draw of a step's dW, the products F X_k and C X_k (one pair per column
-of a flow), and, on each half of the paths, the update that adds
-(C X_k) dW_k and B u_k dt and checks for blow-up.  A step's draw does not
+the draw of a step's dW, the products F X_k and C X_k (one pair per lane),
+and, on each half of the paths, the update that adds (C X_k) dW_k and each
+lane's B u_k dt and checks every lane for blow-up.  A step's draw does not
 depend on the state, so the helper draws up to two steps ahead, into a ring
 of three dW buffers, and then claims the step's products from the back
 while the calling thread claims them from the front; the update tasks start
@@ -32,7 +36,7 @@ from __future__ import annotations
 import collections
 import threading
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 # numpy loads numpy.random on first use; a module-level import keeps that
@@ -114,11 +118,10 @@ def _step_normals(seed: int, step: int, n_paths: int,
     return Generator(Philox(ss)).standard_normal(n_paths, out=out)
 
 
-def _noise(cfg: SimConfig, steps: Iterable[int]) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, dW_k) for each step k in the order given."""
-    root = np.sqrt(cfg.dt)
-    for k in steps:
-        yield k, _step_normals(cfg.seed, k, cfg.n_paths) * root
+def _draw(cfg: SimConfig, k: int, out: np.ndarray):
+    """dW_k into ``out``, a contiguous buffer of n_paths values."""
+    _step_normals(cfg.seed, k, cfg.n_paths, out)
+    out *= np.sqrt(cfg.dt)
 
 
 def brownian_increments(cfg: SimConfig, k0: int = 0, k1: Optional[int] = None) -> np.ndarray:
@@ -129,8 +132,8 @@ def brownian_increments(cfg: SimConfig, k0: int = 0, k1: Optional[int] = None) -
         raise DomainError(f"invalid step range [{k0}, {k1})")
     # each step's draw fills one contiguous row; the transpose is the block
     out = np.empty((k1 - k0, cfg.n_paths))
-    for k, dw in _noise(cfg, range(k0, k1)):
-        out[k - k0] = dw
+    for k in range(k0, k1):
+        _draw(cfg, k, out[k - k0])
     return out.T
 
 
@@ -239,31 +242,16 @@ def _product(M: np.ndarray, X: np.ndarray, out: np.ndarray):
     np.matmul(M, X, out=out)
 
 
-def _finish(out: np.ndarray, noise: np.ndarray, dw: np.ndarray, bu: Optional[np.ndarray],
-            step: int, dt: float):
-    """Complete an Euler step from F X in ``out`` and C X in ``noise``: add
-    (C X) dW and bu to ``out`` and check it for blow-up at ``step``."""
+def _finish(out: np.ndarray, noise: np.ndarray, dw: np.ndarray,
+            bu: Optional[list[np.ndarray]], step: int, dt: float):
+    """Complete an Euler step of lanes (L, n, p) from F X in ``out`` and C X
+    in ``noise``: add (C X) dW and each lane's bu to ``out`` and check it for
+    blow-up at ``step``."""
     noise *= dw
     out += noise
-    if bu is not None:
-        out += bu
+    for lane, b in zip(out, bu or ()):
+        lane += b
     _check_blowup(out, step, dt)
-
-
-def _euler_step(X: np.ndarray, F: np.ndarray, C: np.ndarray, dw: np.ndarray,
-                bu: Optional[np.ndarray], out: np.ndarray, noise: np.ndarray,
-                step: int, dt: float) -> np.ndarray:
-    """One Euler-Maruyama step F X + (C X) dW + bu into the buffer ``out``
-    (``noise`` is scratch; neither may be X), checked for blow-up at ``step``.
-
-    X is paths-last: (n, n_paths) states, or (n, n, n_paths) flows stored as
-    (column, state, path).  With F = I + dt A and bu = B u dt, an (n, 1)
-    column or (n, n_paths), this is X + (A X + B u) dt + C X dW.
-    """
-    _product(F, X, out)
-    _product(C, X, noise)
-    _finish(out, noise, dw, bu, step, dt)
-    return out
 
 
 def _initial_state(x0, sys: StochasticSystem) -> np.ndarray:
@@ -345,40 +333,39 @@ class _Helper:
         self._thread.join()
 
 
-def _sweep(sys: StochasticSystem, x0: np.ndarray, control: Control,
+def _sweep(lanes: list[tuple[np.ndarray, np.ndarray]], x0: np.ndarray, bu,
            cfg: SimConfig) -> Iterator[tuple[int, Optional[np.ndarray], np.ndarray]]:
-    """The sweep :func:`_forward_sweep` returns, from x0: an n-vector for
-    states, or an (n, n) block whose row j starts column j of a flow.
-    F = I + dt A and C are formed once per run.  Steps run on two threads
-    as the module docstring says; however the sweep ends (a blow-up, a
-    failed draw or a consumer closing it early), the helper is stopped and
-    joined and the OpenBLAS thread count restored before the exception
-    propagates.
+    """The sweep of the module docstring, with one pair (F, C) per lane.
+
+    x0 is an n-vector, for one lane of states handed out as (n_paths, n), or
+    an (L, n) block whose row l starts lane l, handed out as
+    (n_paths, n, L).  ``bu(k, X)`` gets what step k starts from, paths-last,
+    and returns step k's B u dt (per lane, in a list, for a block), or None;
+    it is called on the calling thread once the consumer has taken X_k.
+    Steps run on two threads as the module docstring says; however the
+    sweep ends (a blow-up, a failed draw or a consumer closing it early),
+    the helper is stopped and joined and the OpenBLAS thread count restored
+    before the exception propagates.
     """
-    F, C = np.eye(sys.n) + cfg.dt * sys.A, sys.C
-    K, root = cfg.n_steps, np.sqrt(cfg.dt)
-    X = np.repeat(x0[..., None], cfg.n_paths, axis=-1)
+    K, one = cfg.n_steps, x0.ndim == 1
+    X = np.repeat(np.atleast_2d(x0)[..., None], cfg.n_paths, axis=-1)
     nxt, noise = np.empty_like(X), np.empty_like(X)
     # dW_j lives in row j % 3: step k reads dW_k and hands it to the consumer
     # until step k + 1 starts, and only dW_{k+1} and dW_{k+2} are drawn meanwhile
     dws = np.empty((3, cfg.n_paths))
     halves = (np.s_[..., :cfg.n_paths // 2], np.s_[..., cfg.n_paths // 2:])
 
-    def draw(j: int):
-        dw = _step_normals(cfg.seed, j, cfg.n_paths, dws[j % 3])
-        dw *= root
-
     def products(X: np.ndarray, out: np.ndarray) -> list[_Task]:
-        """F X into ``out`` and C X into ``noise``, per column of a flow."""
-        blocks = zip(X, out, noise) if X.ndim == 3 else [(X, out, noise)]
-        return [_Task(_product, M, x, o) for x, fx, cx in blocks for M, o in ((F, fx), (C, cx))]
+        """F X into ``out`` and C X into ``noise``, one pair per lane."""
+        return [_Task(_product, M, x, o) for (F, C), x, fx, cx in zip(lanes, X, out, noise)
+                for M, o in ((F, fx), (C, cx))]
 
     def finishes(k: int, out: np.ndarray, dw: np.ndarray,
-                 bu: Optional[np.ndarray]) -> list[_Task]:
-        """The rest of step k on each half of the paths."""
-        bu = None if bu is None else np.broadcast_to(bu, out.shape)
-        return [_Task(_finish, out[h], noise[h], dw[h[-1]], None if bu is None else bu[h],
-                      k + 1, cfg.dt) for h in halves]
+                 bu: Optional[list[np.ndarray]]) -> list[_Task]:
+        """The rest of step k on each half of the paths, every lane at once."""
+        bu = None if bu is None else [np.broadcast_to(b, out.shape[1:]) for b in bu]
+        return [_Task(_finish, out[h], noise[h], dw[h[-1]],
+                      None if bu is None else [b[h] for b in bu], k + 1, cfg.dt) for h in halves]
 
     def helper_job(ahead: list[_Task], prods: list[_Task], fins: list[_Task]):
         for task in ahead + prods[::-1]:
@@ -388,20 +375,21 @@ def _sweep(sys: StochasticSystem, x0: np.ndarray, control: Control,
         for task in fins[::-1]:
             task.try_run()
 
-    draws = {j: _Task(draw, j) for j in range(min(K, 2))}
+    draws = {j: _Task(_draw, cfg, j, dws[j % 3]) for j in range(min(K, 2))}
     with _one_blas_thread():
         helper = _Helper()
         try:
             helper.submit(helper_job, list(draws.values()), [], [])
-            yield 0, None, X.T
+            yield 0, None, (X[0] if one else X).T
             for k in range(K):
                 draws.pop(k).settle()  # dW_k, drawn here if the helper has not begun
                 if k + 2 < K:
-                    draws[k + 2] = _Task(draw, k + 2)
+                    draws[k + 2] = _Task(_draw, cfg, k + 2, dws[(k + 2) % 3])
                 ahead = [draws[j] for j in (k + 1, k + 2) if j < K]
                 dw = dws[k % 3]
                 prods = products(X, nxt)
-                fins = finishes(k, nxt, dw, _bu_term(control, sys.B, k, X, cfg.dt))
+                b = bu(k, X[0] if one else X)
+                fins = finishes(k, nxt, dw, [b] if one and b is not None else b)
                 helper.submit(helper_job, ahead, prods, fins)
                 for tasks in (prods, fins):
                     for task in tasks:
@@ -414,7 +402,7 @@ def _sweep(sys: StochasticSystem, x0: np.ndarray, control: Control,
                     except Exception:  # kept by the task, re-raised at its own step
                         pass
                 X, nxt = nxt, X
-                yield k + 1, dw, X.T
+                yield k + 1, dw, (X[0] if one else X).T
         finally:
             helper.close()
 
@@ -427,9 +415,12 @@ def _forward_sweep(
     The sweep yields (k, dW_{k-1}, X_k) for k = 0..K, with dW None at k = 0
     and X_k an (n_paths, n) view of the sweep's paths-last buffer.  A
     yielded X is valid only until the sweep moves on: copy it to keep it.
-    Nothing is allocated until it is iterated.
+    No buffer or thread is made until it is iterated.
     """
-    return _sweep(sys, _initial_state(x0, sys), _validate_control(control, sys, cfg.n_steps), cfg)
+    x0 = _initial_state(x0, sys)
+    control = _validate_control(control, sys, cfg.n_steps)
+    return _sweep([(np.eye(sys.n) + cfg.dt * sys.A, sys.C)], x0,
+                  lambda k, X: _bu_term(control, sys.B, k, X, cfg.dt), cfg)
 
 
 def simulate_forward(
@@ -482,7 +473,8 @@ def simulate_flow(sys: StochasticSystem, cfg: SimConfig, record: bool = True) ->
     K = cfg.n_steps
     kept = np.arange(K + 1) if record else np.array([0, K])
     flows = np.empty((cfg.n_paths, len(kept), sys.n, sys.n))
-    for k, _, Phi in _sweep(sys, np.eye(sys.n), ZeroControl(), cfg):
+    lanes = [(np.eye(sys.n) + cfg.dt * sys.A, sys.C)] * sys.n
+    for k, _, Phi in _sweep(lanes, np.eye(sys.n), lambda k, X: None, cfg):
         if record or k in (0, K):
             flows[:, min(k, len(kept) - 1)] = Phi
     return FlowEnsemble(times=cfg.dt * kept.astype(float), flows=flows)
@@ -521,8 +513,8 @@ def girsanov_check(
 ) -> list[tuple[float, float]]:
     """Compare the exponential-martingale transform with the direct scheme.
 
-    For each dt, simulate X from the original equation and, in lockstep on
-    the same increments, X~ from
+    For each dt, simulate X from the original equation and, as a second lane
+    of the same sweep on the same increments, X~ from
 
         dX~ = ((A + lam*C) X~ + B v) dt + (C + lam*I) X~ dW,
         v_t = E_t u_t,   E_t = exp(lam W_t - lam^2 t / 2).
@@ -543,28 +535,29 @@ def girsanov_check(
     for i, dt in enumerate(dts):  # every grid is checked before any simulation
         try:
             runs.append(replace(cfg, dt=dt))
-        except DomainError as exc:
-            raise DomainError(f"dt_list[{i}]: {exc}") from exc
+            _validate_control(control, sys, runs[-1].n_steps)
+        except (DomainError, DimensionError) as exc:
+            raise type(exc)(f"dt_list[{i}]: {exc}") from exc
 
     eye = np.eye(sys.n)
-    C2 = sys.C + lam * eye
     out = []
     for dt, run in zip(dts, runs):
-        F2 = eye + dt * (sys.A + lam * sys.C)
-        Xt = np.repeat(x0[:, None], run.n_paths, axis=1)
-        Xt_next, noise = np.empty_like(Xt), np.empty_like(Xt)
+        lanes = [(eye + dt * sys.A, sys.C), (eye + dt * (sys.A + lam * sys.C), sys.C + lam * eye)]
         W, sup_err = np.zeros(run.n_paths), np.zeros(run.n_paths)
         expmart = np.ones(run.n_paths)  # exp(lam W_k - lam^2 t_k / 2), carried over
-        # X~ steps in lockstep with the sweep, on its increments
-        for k, dw, X in _forward_sweep(sys, x0, control, run):
+
+        def bu(k: int, X: np.ndarray) -> Optional[list[np.ndarray]]:
+            # B v = E_k (B u) by linearity; the sweep asks for step k's term
+            # only after the loop below has taken X_k and set expmart to E_k
+            b = _bu_term(control, sys.B, k, X[0])
+            return None if b is None else [b * dt, expmart * b * dt]
+
+        for k, dw, Y in _sweep(lanes, np.stack([x0, x0]), bu, run):
             if k:
-                Xt, Xt_next = _euler_step(Xt, F2, C2, dw, bv, Xt_next, noise, k, dt), Xt
                 W += dw
                 expmart = np.exp(lam * W - 0.5 * lam * lam * (k * dt))
-                np.maximum(sup_err, np.linalg.norm(expmart * X.T - Xt, axis=0), out=sup_err)
-            # v = E_t u, so B v = E_t (B u) by linearity
-            bu = _bu_term(control, sys.B, min(k, run.n_steps - 1), X.T)
-            bv = None if bu is None else expmart * bu * dt
+                X, Xt = Y.T
+                np.maximum(sup_err, np.linalg.norm(expmart * X - Xt, axis=0), out=sup_err)
         out.append((dt, float(np.mean(sup_err))))
     return out
 

@@ -543,9 +543,9 @@ class TestAprioriBound:
 class TestApproximationConvergence:
     def test_random_system_flags(self, monkeypatch):
         draws = []
-        real_noise = bsde_module._noise
-        monkeypatch.setattr(bsde_module, "_noise",
-                            lambda *args: draws.append(args) or real_noise(*args))
+        real_normals = sde_module._step_normals
+        monkeypatch.setattr(sde_module, "_step_normals",
+                            lambda *args: draws.append(args) or real_normals(*args))
         rng = np.random.default_rng(123)
         A, B, C = random_dissipative_system(rng, 4, c_scale=1.0)
         s = StochasticSystem(A, B, C=C)

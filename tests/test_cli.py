@@ -312,6 +312,9 @@ class TestErrorStatuses:
          "apriori.terminals[2].xi: expected shape (4,) for (n), got (2,)"),
         ("girsanov", {"girsanov": {"lambda": 1.0, "dt_list": [0.01, 0.003]}},
          "girsanov.dt_list[1]: T/dt = 66.66666666666667 is not an integer"),
+        ("girsanov", {"control": {"type": "piecewise", "values": [[1.0]] * 20},
+                      "girsanov": {"lambda": 1.0, "dt_list": [0.01, 0.005]}},
+         "girsanov.dt_list[1]: piecewise control must have shape (40, 1), got (20, 1)"),
     ])
     def test_size_errors_name_the_field(self, tmp_path, capsys, sub, extra, message):
         raw = {**EXAMPLE2, "sim": SMALL_SIM, "x0": [1, 1, 1, 1],

@@ -117,7 +117,7 @@ SWEEPS = """
 import hashlib, json
 import numpy as np
 from sck import (ConstantControl, DeterministicTerminal, SimConfig, StochasticSystem,
-                 duality_check, ensemble_moments)
+                 duality_check, ensemble_moments, girsanov_check)
 
 
 def system(n):
@@ -136,8 +136,11 @@ x0 = np.random.default_rng(100).standard_normal(64)
 moments = ensemble_moments(system(64), x0, u, SimConfig(T=0.1, dt=0.01, n_paths=3001, seed=0))
 rep = duality_check(system(16), x0[:16], u, DeterministicTerminal(x0[16:32]),
                     SimConfig(T=0.1, dt=0.01, n_paths=20001, seed=5))
+points = girsanov_check(system(64), -0.5, x0, u, SimConfig(T=0.1, dt=0.01, n_paths=3001, seed=3),
+                        [0.01])
 print(json.dumps({"moments": digest(*moments),
-                  "duality": digest(np.array([rep.lhs, rep.rhs, rep.lhs_mc, rep.stderr]))}))
+                  "duality": digest(np.array([rep.lhs, rep.rhs, rep.lhs_mc, rep.stderr])),
+                  "girsanov": digest(np.array(points))}))
 """
 
 

@@ -91,13 +91,14 @@ class TestBrownianSource:
 
     def test_increments_are_the_per_step_draws(self):
         # the stored block and the forward ensemble's increments are exactly
-        # the draws the step noise source yields, column k for step k
+        # the per-step draws scaled by sqrt(dt), column k for step k
         cfg = SimConfig(T=0.2, dt=0.01, n_paths=50, seed=9)
         block = brownian_increments(cfg, 3, 17)
         ens = simulate_forward(scalar_system(), np.ones(1), ZeroControl(), cfg, record_steps=[])
         assert block.shape == (50, 14)
         assert ens.increments.shape == (50, cfg.n_steps)
-        for k, dw in sde._noise(cfg, range(cfg.n_steps)):
+        for k in range(cfg.n_steps):
+            dw = sde._step_normals(cfg.seed, k, cfg.n_paths) * np.sqrt(cfg.dt)
             assert np.array_equal(ens.increments[:, k], dw)
             if 3 <= k < 17:
                 assert np.array_equal(block[:, k - 3], dw)
@@ -367,6 +368,16 @@ class TestTwoThreadSweep:
         assert isinstance(raised, StabilityError) and "at step 8 " in str(raised)
         unwound()
 
+    def test_shifted_lane_stability_error_unwinds(self, unwound):
+        # only girsanov's X~ lane blows up: the original equation stays
+        # bounded on the same noise, and the shifted pair reports the step
+        s = scalar_system()
+        cfg = SimConfig(T=10.0, dt=1.0, n_paths=1001, seed=0)
+        assert np.abs(simulate_forward(s, [1.0], ZeroControl(), cfg).states).max() < 2.0
+        raised = self.bounded(lambda: girsanov_check(s, 50.0, [1.0], ZeroControl(), cfg, [1.0]))
+        assert isinstance(raised, StabilityError) and "at step 7 " in str(raised)
+        unwound()
+
     def test_consumer_closing_early_unwinds(self, unwound):
         cfg = SimConfig(T=1.0, dt=0.1, n_paths=1001, seed=0)
         sweep = sde._forward_sweep(scalar_system(), [1.0], ZeroControl(), cfg)
@@ -462,21 +473,24 @@ class TestTwoThreadSweep:
         s = random_system(rng, 3, 2)
         gain = FeedbackControl(0.3 * rng.standard_normal((2, 3)))
         cfg = SimConfig(T=0.06, dt=0.01, n_paths=301, seed=19)
-        C, me, takers = s.C, threading.get_ident(), []
+        lam, me, takers = -0.7, threading.get_ident(), []
+        noises = (s.C, s.C + lam * np.eye(3))
 
         def sweeps():
-            """Every array of both runs as bytes, and whether this thread
-            took each C X (one per step for states, one per column for
-            flows)."""
+            """Every array of the three runs as bytes, and whether this
+            thread took each C X (one per step for states, one per column
+            for flows, one per lane for girsanov's X and X~)."""
             takers.clear()
             ens = [simulate_forward(s, np.ones(3), gain, cfg), simulate_flow(s, cfg)]
-            return [a.tobytes() for e in ens for a in vars(e).values()], list(takers)
+            points = girsanov_check(s, lam, np.ones(3), gain, cfg, [cfg.dt])
+            arrays = [a for e in ens for a in vars(e).values()] + [np.array(points)]
+            return [a.tobytes() for a in arrays], list(takers)
 
         free, _ = sweeps()
         real_product, real_try_run = sde._product, sde._Task.try_run
 
         def product(M, X, out):
-            if np.array_equal(M, C):
+            if any(np.array_equal(M, C) for C in noises):
                 takers.append(threading.get_ident() == me)
             real_product(M, X, out)
 
@@ -497,7 +511,7 @@ class TestTwoThreadSweep:
             with monkeypatch.context() as m:
                 m.setattr(sde._Task, "try_run", delayed(on_this_thread=helper_first))
                 runs[helper_first] = sweeps()
-        steps = cfg.n_steps * (1 + 3)
+        steps = cfg.n_steps * (1 + 3 + 2)
         mine, taken = runs[False]
         assert len(taken) == steps and all(taken)  # the helper was always late
         helpers, taken = runs[True]
@@ -581,6 +595,11 @@ class TestGirsanov:
         short = SimConfig(T=0.1, dt=0.01, n_paths=10, seed=0)
         with pytest.raises(DomainError, match=r"^dt_list\[1\]: T/dt = 33.333333333333336 is"):
             girsanov_check(s, 0.5, [1.0], ZeroControl(), short, [0.01, 0.003])
+        # so is the control against each grid
+        with pytest.raises(DimensionError, match=r"^dt_list\[1\]: piecewise control must have "
+                                                 r"shape \(20, 1\), got \(10, 1\)$"):
+            girsanov_check(s, 0.5, [1.0], PiecewiseConstantControl(np.ones((10, 1))), short,
+                           [0.01, 0.005])
 
     def test_x0_length_checked_before_simulation(self, monkeypatch):
         s = StochasticSystem(np.diag([-1.0, -2.0]), np.ones((2, 1)))

@@ -4,9 +4,10 @@
 
 Imports sck from this checkout's ``src`` and prints, for each state size n,
 the median and quartiles of the wall time of ``duality_check`` (30 steps of
-dt 1e-3, 100k paths up to n = 8 and 20k above) and of
-``simulate_flow(record=False)`` on the same grid (paths chosen so that one
-(n, n, n_paths) flow buffer holds 2M values).  Every size uses one seeded
+dt 1e-3, 100k paths up to n = 8 and 20k above), of ``girsanov_check`` on the
+same grid and paths (one dt, lambda = -0.5, the same constant control) and
+of ``simulate_flow(record=False)`` on the same grid (paths chosen so that
+one (n, n, n_paths) flow buffer holds 2M values).  Every size uses one seeded
 random system with sym(A) negative definite.  The benchmark's workloads
 time n = 4 only; run this in two checkouts, turn about, to compare sizes.
 """
@@ -25,7 +26,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from sck import StochasticSystem  # noqa: E402
 from sck.bsde import DeterministicTerminal, duality_check  # noqa: E402
-from sck.sde import ConstantControl, SimConfig, simulate_flow  # noqa: E402
+from sck.sde import ConstantControl, SimConfig, girsanov_check, simulate_flow  # noqa: E402
 
 T, DT, FLOW_VALUES = 0.03, 1e-3, 2_000_000
 
@@ -62,6 +63,8 @@ def main() -> int:
         ops = [
             ("duality_check", dual, lambda: duality_check(
                 s, x0, ConstantControl(np.ones(1)), DeterministicTerminal(x0), dual)),
+            ("girsanov_check", dual, lambda: girsanov_check(
+                s, -0.5, x0, ConstantControl(np.ones(1)), dual, [DT])),
             ("simulate_flow", flow, lambda: simulate_flow(s, flow, record=False)),
         ]
         for name, cfg, fn in ops:
