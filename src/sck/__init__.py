@@ -6,103 +6,17 @@ verdict; :mod:`sck.galerkin` the spectral assembly of 1-D heat-type systems;
 :mod:`sck.sde` / :mod:`sck.bsde` the seeded Monte Carlo engine for the
 forward equation, its dual backward equation, and the identity checks built
 on them.  :mod:`sck.cli` wraps everything behind a subcommand interface.
+The package re-exports every library module's public names.
 """
 
 __version__ = "0.1.0"
 
-from .bsde import (
-    AprioriReport,
-    BsdeSolution,
-    ConvergenceReport,
-    DeterministicTerminal,
-    DualityReport,
-    LinearInWTTerminal,
-    apriori_bound_check,
-    approximation_convergence,
-    duality_check,
-    solve_dual_bsde,
-)
-from .controllability import (
-    ControllabilityVerdict,
-    HautusReport,
-    check_condition,
-    commuting_case_check,
-    kalman_hautus_rank,
-    strict_invariant_subspace,
-    verdict,
-)
-from .galerkin import (
-    HeatSystemSpec,
-    assemble_divform_1d,
-    assemble_example2,
-    b_coefficient_test,
-    check_ellipticity,
-)
-from .sde import (
-    ConstantControl,
-    FeedbackControl,
-    PathEnsemble,
-    PiecewiseConstantControl,
-    SimConfig,
-    ZeroControl,
-    brownian_increments,
-    ensemble_moments,
-    fit_convergence_order,
-    girsanov_check,
-    simulate_flow,
-    simulate_forward,
-)
-from .systems import (
-    StochasticSystem,
-    SubspaceBasis,
-    ToleranceConfig,
-    is_dissipative,
-    lambda_set,
-    semigroup_apply,
-    yosida,
-)
+from . import bsde, controllability, galerkin, sde, systems
+from .bsde import *
+from .controllability import *
+from .galerkin import *
+from .sde import *
+from .systems import *
 
-__all__ = [
-    "__version__",
-    "AprioriReport",
-    "BsdeSolution",
-    "ConstantControl",
-    "ControllabilityVerdict",
-    "ConvergenceReport",
-    "DeterministicTerminal",
-    "DualityReport",
-    "FeedbackControl",
-    "HautusReport",
-    "HeatSystemSpec",
-    "LinearInWTTerminal",
-    "PathEnsemble",
-    "PiecewiseConstantControl",
-    "SimConfig",
-    "StochasticSystem",
-    "SubspaceBasis",
-    "ToleranceConfig",
-    "ZeroControl",
-    "apriori_bound_check",
-    "approximation_convergence",
-    "assemble_divform_1d",
-    "assemble_example2",
-    "b_coefficient_test",
-    "brownian_increments",
-    "check_condition",
-    "check_ellipticity",
-    "commuting_case_check",
-    "duality_check",
-    "ensemble_moments",
-    "fit_convergence_order",
-    "girsanov_check",
-    "is_dissipative",
-    "kalman_hautus_rank",
-    "lambda_set",
-    "semigroup_apply",
-    "simulate_flow",
-    "simulate_forward",
-    "solve_dual_bsde",
-    "strict_invariant_subspace",
-    "verdict",
-    "yosida",
-]
+__all__ = ["__version__", *bsde.__all__, *controllability.__all__, *galerkin.__all__,
+           *sde.__all__, *systems.__all__]

@@ -40,6 +40,7 @@ from .sde import (
     _check_blowup,
     _draw,
     _forward_sweep,
+    _pair,
 )
 from .systems import StochasticSystem, _expm, as_vector
 from .systems import yosida as yosida_pair
@@ -155,7 +156,7 @@ def _dual_coefficients(sys: StochasticSystem, terminal: Terminal, cfg: SimConfig
         raise DimensionError(f"terminal dimension must equal n={sys.n}")
     K, dt = cfg.n_steps, cfg.dt
     # coefficient vectors are rows, so (I + dt A^T) y is y (I + dt A)
-    F, C = np.eye(sys.n) + dt * sys.A, sys.C
+    F, C = _pair(sys.A, sys.C, dt)
     lift = dt * np.arange(1, len(y))[:, None]  # (j + 1) dt for j = 0..degree-1
     out = np.empty((K + 1,) + y.shape)
     out[K] = y
@@ -250,7 +251,7 @@ def _forward_moments(sys: StochasticSystem, x0: np.ndarray, control: Control,
     control rows row_j(k) = dt B E[H_j(W_k) u_k], shape (K, rows, n): one
     row dt B u_k for an open-loop u, dt B K M_j(k) for each j under a
     feedback u = K X, none for the zero control."""
-    F, C = np.eye(sys.n) + cfg.dt * sys.A, sys.C
+    F, C = _pair(sys.A, sys.C, cfg.dt)
     lift = cfg.dt * np.arange(1, degree + 1)[:, None]  # j dt for j = 1..degree
     M = np.zeros((cfg.n_steps + 1, degree + 1, sys.n))
     M[0, 0] = x0

@@ -25,7 +25,7 @@ from typing import Any, Optional
 import numpy as np
 
 from . import __version__, bsde, controllability, galerkin, sde, systems
-from .config import ConfigError, RunConfig, parse_run_config
+from .config import FORMATS, ConfigError, RunConfig, parse_run_config
 from .exceptions import DimensionError, DomainError, NumericsError
 
 # Keys shared by a payload and its CSV header.  _fields reads each key from the
@@ -353,7 +353,7 @@ _PARSER = _Parser(prog="sck", description="stochastic controllability kit")
 _PARSER.add_argument("subcommand", choices=SUBCOMMANDS)
 _PARSER.add_argument("--config", required=True, help="path to the JSON run configuration")
 _PARSER.add_argument("--output", help="report path (overrides config output_path)")
-_PARSER.add_argument("--format", choices=("json", "csv"), help="report format override")
+_PARSER.add_argument("--format", choices=FORMATS, help="report format override")
 _PARSER.add_argument("--seed", type=int, help="seed override for simulation runs")
 _PARSER.add_argument(
     "--threads", type=int, default=None,

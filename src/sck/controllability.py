@@ -24,13 +24,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import DimensionError, DomainError
+from .exceptions import DomainError
 from .systems import (
     StochasticSystem,
     SubspaceBasis,
     ToleranceConfig,
     _one_blas_thread,
-    as_matrix,
     lambda_set,
 )
 
@@ -189,12 +188,8 @@ def kalman_hautus_rank(A, B, s_samples: Sequence[complex] = ()) -> tuple[bool, f
     -------
     (full_rank_everywhere, min_sigma)
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError("A must be square")
-    if B.shape[0] != A.shape[0]:
-        raise DimensionError("B must have as many rows as A")
+    sys = StochasticSystem(A, B)
+    A, B = sys.A, sys.B
     found = [(p.sigma_min, p.violated) for p, _ in _spectral_points(A.T, B.T)]
     for s in s_samples:
         sigma, _, scale = _pencil(A.T, B.T, complex(s))
@@ -301,13 +296,8 @@ def strict_invariant_subspace(A, C, B) -> SubspaceBasis:
     zero at or below ``_SWEEP_TOL`` times the largest one, and the residual's
     at or below ``_SWEEP_TOL`` times max(||A^T V||_2, 1).
     """
-    A = as_matrix(A, "A")
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    n = A.shape[0]
-    if A.shape != (n, n) or C.shape != (n, n) or B.shape[0] != n:
-        raise DimensionError("A, C must be n x n and B must have n rows")
-
+    sys = StochasticSystem(A, B, C=C)
+    A, B, C = sys.A, sys.B, sys.C
     _, V = _split(B.T, _SWEEP_TOL)
     while V.shape[1] > 0:
         span, _ = _split(np.hstack([V, C.T @ V]), _SWEEP_TOL)

@@ -254,6 +254,12 @@ def _finish(out: np.ndarray, noise: np.ndarray, dw: np.ndarray,
     _check_blowup(out, step, dt)
 
 
+def _pair(A: np.ndarray, C: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Euler step's pair (F, C) = (I + dt A, C): X_{k+1} = F X_k + C X_k dW_k
+    plus the control term.  The forward sweep and both dual recursions take it."""
+    return np.eye(len(A)) + dt * A, C
+
+
 def _initial_state(x0, sys: StochasticSystem) -> np.ndarray:
     """x0 as a vector of length n, checked before any simulation."""
     x0 = as_vector(x0, "x0")
@@ -419,7 +425,7 @@ def _forward_sweep(
     """
     x0 = _initial_state(x0, sys)
     control = _validate_control(control, sys, cfg.n_steps)
-    return _sweep([(np.eye(sys.n) + cfg.dt * sys.A, sys.C)], x0,
+    return _sweep([_pair(sys.A, sys.C, cfg.dt)], x0,
                   lambda k, X: _bu_term(control, sys.B, k, X, cfg.dt), cfg)
 
 
@@ -473,7 +479,7 @@ def simulate_flow(sys: StochasticSystem, cfg: SimConfig, record: bool = True) ->
     K = cfg.n_steps
     kept = np.arange(K + 1) if record else np.array([0, K])
     flows = np.empty((cfg.n_paths, len(kept), sys.n, sys.n))
-    lanes = [(np.eye(sys.n) + cfg.dt * sys.A, sys.C)] * sys.n
+    lanes = [_pair(sys.A, sys.C, cfg.dt)] * sys.n
     for k, _, Phi in _sweep(lanes, np.eye(sys.n), lambda k, X: None, cfg):
         if record or k in (0, K):
             flows[:, min(k, len(kept) - 1)] = Phi
@@ -539,10 +545,10 @@ def girsanov_check(
         except (DomainError, DimensionError) as exc:
             raise type(exc)(f"dt_list[{i}]: {exc}") from exc
 
-    eye = np.eye(sys.n)
     out = []
     for dt, run in zip(dts, runs):
-        lanes = [(eye + dt * sys.A, sys.C), (eye + dt * (sys.A + lam * sys.C), sys.C + lam * eye)]
+        lanes = [_pair(sys.A, sys.C, dt),
+                 _pair(sys.A + lam * sys.C, sys.C + lam * np.eye(sys.n), dt)]
         W, sup_err = np.zeros(run.n_paths), np.zeros(run.n_paths)
         expmart = np.ones(run.n_paths)  # exp(lam W_k - lam^2 t_k / 2), carried over
 

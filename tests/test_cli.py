@@ -253,6 +253,17 @@ class TestErrorStatuses:
                      "--output", str(tmp_path / "no_dir" / "out.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("sub, step", [("duality", 24), ("apriori", 24),
+                                           ("simulate-forward", 11)])
+    def test_numerical_failure_is_exit_2(self, tmp_path, capsys, sub, step):
+        # explicit Euler at dt = 0.1 is unstable for the mode at -16 pi^2
+        raw = dict(EXAMPLE2, sim={"T": 5, "dt": 0.1, "n_paths": 200, "seed": 11},
+                   x0=[1, 1, 1, 1], terminal={"type": "deterministic", "xi": [0, 1, 0, 0]})
+        code, text = run_cli(tmp_path, sub, raw)
+        assert code == 2 and text is None
+        assert capsys.readouterr().err.startswith(
+            f"sck: numerical failure: ensemble blew up at step {step} ")
+
     def test_negative_verdict_still_succeeds(self, tmp_path):
         code, text = run_cli(tmp_path, "verdict", EXAMPLE2)
         assert code == 0

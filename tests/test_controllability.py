@@ -15,7 +15,7 @@ from sck import (
     verdict,
 )
 from sck import controllability, systems
-from sck.exceptions import DomainError
+from sck.exceptions import DimensionError, DomainError
 from sck.galerkin import polynomial, trigonometric
 
 PI2 = np.pi**2
@@ -459,6 +459,35 @@ class TestOneBlasThread:
             assert a.complex_points == b.complex_points
             assert a.witness_point == b.witness_point
             assert np.array_equal(a.witness, b.witness)
+
+
+NAN_2X2 = np.array([[-1.0, 0.0], [0.0, np.nan]])
+
+
+class TestMatrixEntryPointInputs:
+    """kalman_hautus_rank and strict_invariant_subspace check their matrices
+    as StochasticSystem does."""
+
+    @pytest.mark.parametrize("A, B, error, message", [
+        (np.ones((2, 3)), np.ones((2, 1)), DimensionError, "A must be square"),
+        (-np.eye(2), np.ones((3, 1)), DimensionError, "B must have 2 rows"),
+        (NAN_2X2, np.ones((2, 1)), DomainError, "A contains non-finite"),
+        (-np.eye(2), np.array([[1.0], [np.nan]]), DomainError, "B contains non-finite"),
+    ], ids=["non-square-A", "B-rows", "nan-A", "nan-B"])
+    def test_both_check_A_and_B(self, A, B, error, message):
+        with pytest.raises(error, match=message):
+            kalman_hautus_rank(A, B)
+        with pytest.raises(error, match=message):
+            strict_invariant_subspace(A, np.zeros((2, 2)), B)
+
+    @pytest.mark.parametrize("C, error, message", [
+        (np.zeros((2, 3)), DimensionError, "C1 must be square"),
+        (np.zeros((3, 3)), DimensionError, "C1 and C2 must be n x n"),
+        (NAN_2X2, DomainError, "C1 contains non-finite"),
+    ], ids=["non-square-C", "C-size", "nan-C"])
+    def test_subspace_checks_C(self, C, error, message):
+        with pytest.raises(error, match=message):
+            strict_invariant_subspace(-np.eye(2), C, np.ones((2, 1)))
 
 
 class TestStrictInvariantSubspace:

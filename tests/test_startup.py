@@ -59,6 +59,18 @@ def test_import_loads_no_scipy():
     assert fresh(code) == []
 
 
+def test_package_surface_is_every_module_surface():
+    import sck
+    from sck import bsde, controllability, galerkin, sde, systems
+
+    modules = (bsde, controllability, galerkin, sde, systems)
+    assert len(set(sck.__all__)) == len(sck.__all__)
+    assert sck.__all__ == ["__version__", *(name for m in modules for name in m.__all__)]
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(sck, name) is getattr(m, name), name
+
+
 @pytest.mark.parametrize("subcommand, extra", [
     ("verdict", {"lambda_grid": [-1.0, 0.5]}),
     ("duality", {"terminal": DETERMINISTIC}),
