@@ -150,7 +150,8 @@ def _regression_steps(cfg: SimConfig, n_times: int) -> np.ndarray:
 def _dual_coefficients(sys: StochasticSystem, terminal: Terminal, cfg: SimConfig) -> np.ndarray:
     """Hermite coefficients y_j(k) of the Euler dual at every step k = 0..K,
     shape (K + 1, degree + 1, n), by the backward recursion of the module
-    docstring; each step is checked for blow-up."""
+    docstring; each step is checked for blow-up, which is reported at its
+    backward step K - k."""
     y = _hermite_terminal(terminal)
     if y.shape[1] != sys.n:
         raise DimensionError(f"terminal dimension must equal n={sys.n}")
@@ -163,7 +164,7 @@ def _dual_coefficients(sys: StochasticSystem, terminal: Terminal, cfg: SimConfig
     for k in range(K - 1, -1, -1):
         out[k] = out[k + 1] @ F
         out[k, :-1] += lift * (out[k + 1, 1:] @ C)
-        _check_blowup(out[k], k, dt)
+        _check_blowup(out[k], K - k, dt, "dual recursion blew up at backward step")
     return out
 
 

@@ -16,10 +16,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 import numpy as np
@@ -322,7 +324,41 @@ def render_csv(subcommand: str, payload: dict) -> str:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(report, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+
+    ``indent`` rules out json's C encoder, and its Python one takes one
+    generator step per value; here each list of floats, most of a report,
+    is written in one join."""
+    return _json(report, "\n") + "\n"
+
+
+def _json(obj, nl: str) -> str:
+    """obj as json.dumps(obj, indent=2, allow_nan=False) writes it at the
+    depth whose line break and indent are ``nl``.  Whatever is not a
+    non-empty list, a non-empty dict with str keys or a plain scalar goes to
+    json itself; its only raw line breaks are those of its layout."""
+    inner = nl + "  "
+    if type(obj) is list and obj:
+        if type(obj[0]) is float:
+            try:
+                text = ("," + inner).join(map(float.__repr__, obj))
+            except TypeError:  # not only floats
+                pass
+            else:
+                if "n" not in text:  # no nan or inf, which json refuses
+                    return "[" + inner + text + nl + "]"
+        return "[" + inner + ("," + inner).join(_json(v, inner) for v in obj) + nl + "]"
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        return "{" + inner + ("," + inner).join(
+            f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in obj.items()
+        ) + nl + "}"
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if obj is None or type(obj) is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
+        return repr(obj)
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", nl)
 
 
 def build_report(subcommand: str, cfg: RunConfig, payload: dict,

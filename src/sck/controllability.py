@@ -15,6 +15,17 @@ OpenBLAS thread: at n = 128 a second thread makes an eigen-decomposition or
 a small SVD slower, up to several times.  The previous thread count is
 restored when the call returns or raises.  Under a BLAS that is not
 OpenBLAS the pool is left alone.
+
+``verdict`` instead runs on two Python threads.  Once it has decided the
+accepted lambdas, the eigen-decompositions of A^T and of each accepted
+(A + lam C)^T become tasks (``systems._Task``) that one helper thread
+claims in turn, while the calling thread runs the subspace sweep; the N1
+and N2 scans then run on the calling thread, each first running any of its
+decompositions the helper has not begun and then waiting for the rest.
+Every public function, and so every span a tracer wraps around one, runs
+on the calling thread; the helper runs only ``_spectrum``.  Each task runs
+whole on one OpenBLAS thread, so the report does not depend on which
+thread ran it.
 """
 
 from __future__ import annotations
@@ -29,7 +40,9 @@ from .systems import (
     StochasticSystem,
     SubspaceBasis,
     ToleranceConfig,
+    _Helper,
     _one_blas_thread,
+    _Task,
     lambda_set,
 )
 
@@ -147,8 +160,8 @@ def _spectrum(M_T: np.ndarray):
     return ev, V, norm_M, [(members, outside[members].min()) for members in clusters]
 
 
-def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0):
-    """(HautusPoint, w) per cluster of ``_spectrum(M_T)``.
+def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0, spectrum=None):
+    """(HautusPoint, w) per cluster of ``spectrum``, by default ``_spectrum(M_T)``.
 
     A simple eigenvalue's sigma is |B^T w| for its unit eigenvector w, on the
     scale ||B||_2 (1 + ||M|| / gap) of w's round-off.  A cluster is tested on
@@ -156,7 +169,7 @@ def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0):
     eigenvector leaves sigma at most its distance from the mean.  A point is
     real (alpha_im = 0) when its eigenvalues are their own conjugates.
     """
-    ev, V, norm_M, clusters = _spectrum(M_T)
+    ev, V, norm_M, clusters = _spectrum(M_T) if spectrum is None else spectrum
     norm_B = np.linalg.norm(B_T, 2)
     out = []
     for members, gap in clusters:
@@ -204,6 +217,8 @@ def check_condition(
     condition: str,
     cfg: ToleranceConfig = ToleranceConfig(),
     explicit_points: Optional[Sequence[tuple[float, float]]] = None,
+    *,
+    _spectra: Optional[Sequence[_Task]] = None,
 ) -> HautusReport:
     """Scan a Hautus-type necessary condition for approximate controllability.
 
@@ -219,6 +234,10 @@ def check_condition(
     ones go to ``complex_points``.  ``explicit_points`` adds (lam, alpha) pencil
     evaluations (for N1 the lam entry is ignored).  Flags follow
     ``_negligible``; ``cfg`` enters only the lambda test.
+
+    ``_spectra`` is :func:`verdict`'s: one task per operator, in order, whose
+    result is that operator's ``_spectrum``.  Its lambdas are the ones
+    verdict accepted, so the lambda test is not repeated.
 
     Raises
     ------
@@ -236,15 +255,23 @@ def check_condition(
         if not lams:
             raise DomainError("N2 requires a non-empty lambda list")
         C = sys.C
-        for pt in lambda_set(sys, lams, cfg):
-            if not pt.in_set:
-                raise DomainError(
-                    f"lambda={pt.lam} is outside the joint-dissipativity set "
-                    f"(margin {pt.margin:.3e})"
-                )
+        if _spectra is None:  # else verdict has accepted every lambda already
+            for pt in lambda_set(sys, lams, cfg):
+                if not pt.in_set:
+                    raise DomainError(
+                        f"lambda={pt.lam} is outside the joint-dissipativity set "
+                        f"(margin {pt.margin:.3e})"
+                    )
         operators = [(lam, sys.A + lam * C) for lam in lams]
 
-    found = [(p, w) for lam, M in operators for p, w in _spectral_points(M.T, B_T, lam)
+    if _spectra is None:
+        spectra = [None] * len(operators)
+    else:
+        for task in _spectra:  # run what the helper has not begun, then wait for the rest
+            task.try_run()
+        spectra = [task.settle() for task in _spectra]
+    found = [(p, w) for (lam, M), spectrum in zip(operators, spectra)
+             for p, w in _spectral_points(M.T, B_T, lam, spectrum)
              if p.alpha < 0 and p.alpha_im >= 0]  # one of each conjugate pair
     for lam, alpha in explicit_points or ():
         lam, M = (0.0, sys.A) if condition == "N1" else (float(lam), sys.A + float(lam) * sys.C)
@@ -390,13 +417,24 @@ def verdict(
     The N2 scan runs over the subset of ``lambdas`` accepted by the
     joint-dissipativity test (the condition only quantifies over that set);
     rejected grid values are simply dropped here, while calling
-    :func:`check_condition` directly with a rejected value raises.
+    :func:`check_condition` directly with a rejected value raises.  The set
+    is decided once.  A helper thread computes the spectra of A^T and of
+    each accepted (A + lam C)^T while this thread runs the subspace sweep;
+    the scans then run here, as the module docstring says.
     """
     lambdas = [float(l) for l in lambdas]
-    sub = strict_invariant_subspace(sys.A, sys.C, sys.B)
-    n1 = check_condition(sys, [], "N1", cfg)
     accepted = [p.lam for p in lambda_set(sys, lambdas, cfg) if p.in_set] if lambdas else []
-    n2 = check_condition(sys, accepted, "N2", cfg) if accepted else None
+    A, C = sys.A, sys.C
+    spectra = [_Task(_spectrum, M.T) for M in [A] + [A + lam * C for lam in accepted]]
+    helper = _Helper()
+    try:
+        for task in spectra:
+            helper.submit(task.try_run)
+        sub = strict_invariant_subspace(A, C, sys.B)
+        n1 = check_condition(sys, [], "N1", cfg, _spectra=spectra[:1])
+        n2 = check_condition(sys, accepted, "N2", cfg, _spectra=spectra[1:]) if accepted else None
+    finally:
+        helper.close()
     commuting = commuting_case_check(sys)
 
     n1_passed = n1.passed

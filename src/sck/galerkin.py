@@ -17,7 +17,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .controllability import _negligible, _spectrum
 from .exceptions import DimensionError, DomainError, EllipticityError, EvaluationError
-from .systems import StochasticSystem, ToleranceConfig, as_vector
+from .systems import StochasticSystem, ToleranceConfig, _one_blas_thread, as_vector
 
 __all__ = [
     "HeatSystemSpec",
@@ -160,6 +160,7 @@ def assemble_example2(N: int, b_coeffs) -> StochasticSystem:
     return StochasticSystem(A, b.reshape(N, 1), C1=np.zeros((N, N)), C2=C)
 
 
+@_one_blas_thread()
 def assemble_divform_1d(
     spec: HeatSystemSpec,
     cfg: ToleranceConfig = ToleranceConfig(),
@@ -174,7 +175,9 @@ def assemble_divform_1d(
 
     The first-order noise part is stiff, so the assembled C goes into the
     C1 slot.  The diffusion coefficient must pass the pointwise ellipticity
-    floor (checked with c = 0 before assembling).
+    floor (checked with c = 0 before assembling).  The products run on one
+    OpenBLAS thread, as the algebra does: a pool thread that a two-thread
+    product leaves spinning would take the core of ``verdict``'s helper.
 
     Raises
     ------

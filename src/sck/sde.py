@@ -16,8 +16,11 @@ the shifted one, (I + dt (A + lam C), C + lam I), as two lanes.  The sweep
 steps into two buffers used in turn, so an array it hands out is overwritten
 two steps later; public results keep paths-first shapes.
 
-The sweep runs each step on two threads under one OpenBLAS thread.  Every
-piece of work is a task that whichever thread claims it first runs whole:
+The sweep runs each step on two threads under one OpenBLAS thread: the
+calling thread, which also runs the consumer of the sweep and every public
+function, and one helper thread per sweep (``systems._Helper``, the task
+engine that ``controllability.verdict`` uses too).  Every piece of work is
+a task (``systems._Task``) that whichever thread claims it first runs whole:
 the draw of a step's dW, the products F X_k and C X_k (one pair per lane),
 and, on each half of the paths, the update that adds (C X_k) dW_k and each
 lane's B u_k dt and checks every lane for blow-up.  A step's draw does not
@@ -33,8 +36,6 @@ on the schedule nor on the host's core count.
 
 from __future__ import annotations
 
-import collections
-import threading
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence, Union
 
@@ -44,7 +45,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .exceptions import DimensionError, DomainError, StabilityError
-from .systems import StochasticSystem, _one_blas_thread, as_matrix, as_vector
+from .systems import StochasticSystem, _Helper, _one_blas_thread, _Task, as_matrix, as_vector
 
 __all__ = [
     "SimConfig",
@@ -229,12 +230,10 @@ class FlowEnsemble:
     flows: np.ndarray
 
 
-def _check_blowup(X: np.ndarray, step: int, dt: float):
+def _check_blowup(X: np.ndarray, step: int, dt: float, what: str = "ensemble blew up at step"):
     # written so that NaN fails the comparisons; no temporary array is made
     if not (X.max() <= BLOWUP_LIMIT and X.min() >= -BLOWUP_LIMIT):
-        raise StabilityError(
-            f"ensemble blew up at step {step} (dt={dt}); use a smaller time step"
-        )
+        raise StabilityError(f"{what} {step} (dt={dt}); use a smaller time step")
 
 
 def _product(M: np.ndarray, X: np.ndarray, out: np.ndarray):
@@ -266,77 +265,6 @@ def _initial_state(x0, sys: StochasticSystem) -> np.ndarray:
     if x0.shape[0] != sys.n:
         raise DimensionError(f"x0 must have length n={sys.n}, got {x0.shape[0]}")
     return x0
-
-
-class _Task:
-    """A piece of a sweep step that whichever thread claims it first runs
-    whole.  The claim is a non-blocking acquire of ``claim``; ``done`` is
-    held until the task has run, and a failure is kept for every waiter."""
-
-    __slots__ = ("fn", "args", "claim", "done", "error")
-
-    def __init__(self, fn, *args):
-        self.fn, self.args, self.error = fn, args, None
-        self.claim, self.done = threading.Lock(), threading.Lock()
-        self.done.acquire()
-
-    def try_run(self) -> bool:
-        """Run the task here if no thread has claimed it; True if it ran."""
-        if not self.claim.acquire(blocking=False):
-            return False
-        try:
-            self.fn(*self.args)
-        except BaseException as exc:
-            self.error = exc
-            raise
-        finally:
-            self.done.release()
-        return True
-
-    def settle(self):
-        """Run the task here if it is unclaimed, else wait until it has run;
-        either way re-raise what it raised."""
-        if not self.try_run():
-            with self.done:
-                pass
-            if self.error is not None:
-                raise self.error
-
-
-class _Helper:
-    """A thread beside the caller that runs submitted jobs in turn.  Jobs
-    only run tasks, which keep their own failures for the caller, so a job
-    that fails just ends.  ``close`` drops the jobs not yet started and
-    joins the thread."""
-
-    def __init__(self):
-        self._jobs, self._ready, self._closing = collections.deque(), threading.Semaphore(0), False
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            self._ready.acquire()
-            job = self._jobs.popleft()
-            if job is None:
-                return
-            if self._closing:
-                continue
-            fn, *args = job
-            try:
-                fn(*args)
-            except BaseException:  # kept by the failed task, re-raised where it is settled
-                pass
-
-    def submit(self, fn, *args):
-        self._jobs.append((fn, *args))
-        self._ready.release()
-
-    def close(self):
-        self._closing = True
-        self._jobs.append(None)
-        self._ready.release()
-        self._thread.join()
 
 
 def _sweep(lanes: list[tuple[np.ndarray, np.ndarray]], x0: np.ndarray, bu,

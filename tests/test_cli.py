@@ -5,7 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from sck.cli import SUBCOMMANDS, main, payload_rows, render_csv, run_subcommand
+from sck.cli import (
+    COMMANDS,
+    SUBCOMMANDS,
+    build_report,
+    main,
+    payload_rows,
+    render_csv,
+    render_json,
+    run_subcommand,
+)
 from sck.config import ConfigError, parse_pi_expression, parse_run_config
 
 PI2 = math.pi**2
@@ -26,6 +35,28 @@ DIVFORM_ELLIPTICITY = {
     "system": {"divform1d": {"N": 4, "a": 1.0, "c": 2.0, "b": 1.0}},
     "ellipticity": {"alpha": 0.6, "grid_points": 200},
 }
+
+# one config per subcommand, on EXAMPLE2
+EVERY_SUBCOMMAND = [
+    ("check-n2", {"lambda_grid": ["-3*pi^2"]}),
+    ("lambda-set", {"lambda_grid": [0, 1]}),
+    ("verdict", {"lambda_grid": [0]}),
+    ("invariant-subspace", {}),
+    ("assemble", {}),
+    ("b-coeffs", {}),
+    ("check-n1", {}),
+    ("ellipticity", DIVFORM_ELLIPTICITY),
+    ("simulate-forward", {"sim": SMALL_SIM, "x0": [1, 0, 0, 0],
+                          "control": {"type": "constant", "u": [1.0]}}),
+    ("duality", {"sim": SMALL_SIM, "x0": [1, 1, 1, 1],
+                 "terminal": {"type": "deterministic", "xi": [0, 1, 0, 0]}}),
+    ("girsanov", {"sim": SMALL_SIM, "x0": [1, 1, 1, 1],
+                  "girsanov": {"lambda": -1.0, "dt_list": [0.02, 0.01]}}),
+    ("apriori", {"sim": SMALL_SIM,
+                 "terminal": {"type": "deterministic", "xi": [0.3, 1.0, -0.5, 0.2]}}),
+    ("convergence", {"sim": SMALL_SIM,
+                     "convergence": {"n_list": [10, 100], "delta_list": [0.1, 0.001]}}),
+]
 
 # CSV header of every subcommand, pinned as documented in the README table.
 CSV_HEADERS = {
@@ -256,13 +287,15 @@ class TestErrorStatuses:
     @pytest.mark.parametrize("sub, step", [("duality", 24), ("apriori", 24),
                                            ("simulate-forward", 11)])
     def test_numerical_failure_is_exit_2(self, tmp_path, capsys, sub, step):
-        # explicit Euler at dt = 0.1 is unstable for the mode at -16 pi^2
+        # explicit Euler at dt = 0.1 is unstable for the mode at -16 pi^2; the
+        # dual recursion runs from K = 50 down, so grid step 24 is backward step 26
         raw = dict(EXAMPLE2, sim={"T": 5, "dt": 0.1, "n_paths": 200, "seed": 11},
                    x0=[1, 1, 1, 1], terminal={"type": "deterministic", "xi": [0, 1, 0, 0]})
         code, text = run_cli(tmp_path, sub, raw)
         assert code == 2 and text is None
-        assert capsys.readouterr().err.startswith(
-            f"sck: numerical failure: ensemble blew up at step {step} ")
+        where = (f"ensemble blew up at step {step}" if sub == "simulate-forward"
+                 else f"dual recursion blew up at backward step {50 - step}")
+        assert capsys.readouterr().err.startswith(f"sck: numerical failure: {where} (dt=0.1)")
 
     def test_negative_verdict_still_succeeds(self, tmp_path):
         code, text = run_cli(tmp_path, "verdict", EXAMPLE2)
@@ -417,26 +450,7 @@ class TestCsvAndParity:
         assert len(lines) == 4
         assert all(line.endswith(",true," + repr(-PI2) + ",false") for line in lines[1:])
 
-    @pytest.mark.parametrize("sub,extra", [
-        ("check-n2", {"lambda_grid": ["-3*pi^2"]}),
-        ("lambda-set", {"lambda_grid": [0, 1]}),
-        ("verdict", {"lambda_grid": [0]}),
-        ("invariant-subspace", {}),
-        ("assemble", {}),
-        ("b-coeffs", {}),
-        ("check-n1", {}),
-        ("ellipticity", DIVFORM_ELLIPTICITY),
-        ("simulate-forward", {"sim": SMALL_SIM, "x0": [1, 0, 0, 0],
-                              "control": {"type": "constant", "u": [1.0]}}),
-        ("duality", {"sim": SMALL_SIM, "x0": [1, 1, 1, 1],
-                     "terminal": {"type": "deterministic", "xi": [0, 1, 0, 0]}}),
-        ("girsanov", {"sim": SMALL_SIM, "x0": [1, 1, 1, 1],
-                      "girsanov": {"lambda": -1.0, "dt_list": [0.02, 0.01]}}),
-        ("apriori", {"sim": SMALL_SIM,
-                     "terminal": {"type": "deterministic", "xi": [0.3, 1.0, -0.5, 0.2]}}),
-        ("convergence", {"sim": SMALL_SIM,
-                         "convergence": {"n_list": [10, 100], "delta_list": [0.1, 0.001]}}),
-    ])
+    @pytest.mark.parametrize("sub,extra", EVERY_SUBCOMMAND)
     def test_csv_matches_json_numbers(self, tmp_path, sub, extra):
         base = dict(EXAMPLE2, **extra)
         code_j, text_j = run_cli(tmp_path, sub, dict(base, format="json"), name="j.json")
@@ -458,6 +472,50 @@ class TestCsvAndParity:
             for v in row:
                 if isinstance(v, float):
                     assert float(repr(v)) == v
+
+
+class TestRenderJson:
+    """render_json writes the bytes of json.dumps(report, indent=2,
+    allow_nan=False) + newline, the reference kept here."""
+
+    @staticmethod
+    def reference(report):
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("sub,extra", EVERY_SUBCOMMAND + [
+        ("verdict", {"system": {"divform1d": {
+            "N": 16, "a": {"type": "trigonometric", "offset": 1.0, "sin": [0.5]},
+            "c": {"type": "trigonometric", "cos": [0.3]},
+            "b": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]}}},
+            "lambda_grid": [-1.0, 0.5, 40.0]}),
+    ])
+    def test_every_subcommand_report(self, sub, extra):
+        cfg = parse_run_config(dict(EXAMPLE2, **extra))
+        report = build_report(sub, cfg, run_subcommand(sub, cfg), 0.25, 2)
+        assert render_json(report) == self.reference(report)
+
+    def test_every_json_shape(self):
+        report = {
+            "floats": [0.1, -0.0, 1e-300, 1e16, 5e-324, -1.7976931348623157e308],
+            "mixed": [1.0, 2, True, None, "x", [], {}, [1.5, [2.5]], {"k": []}],
+            "ints": [1, -2, 10**30], "bools": [True, False], "empty": [], "none": None,
+            "nested": [[1.0, 2.0], [], [3.0]], "tuple": (1.0, "a"), "float64": np.float64(0.3),
+            "floats_then_int": [1.0, 2.0, 3], "text": "quote \" tab \t é \u2028",
+            "keys": {1: "int", 2.5: "float", False: "bool", None: "none"},
+            "deep": {"a": {"b": {"c": [{"d": 1.25}]}}},
+        }
+        assert render_json(report) == self.reference(report)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["list", "mixed", "scalar"])
+    def test_non_finite_float_is_exit_1(self, tmp_path, capsys, monkeypatch, bad, where):
+        value = {"list": [1.0, bad], "mixed": [1, bad], "scalar": bad}[where]
+        with pytest.raises(ValueError) as stdlib:
+            self.reference({"payload": {"x": value}})
+        monkeypatch.setitem(COMMANDS, "assemble", (lambda cfg: {"x": value}, None))
+        code, text = run_cli(tmp_path, "assemble", EXAMPLE2)
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == f"sck: input error: {stdlib.value}\n"
 
 
 class TestSimulationCommands:

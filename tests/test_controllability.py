@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,8 @@ from sck import (
     strict_invariant_subspace,
     verdict,
 )
-from sck import controllability, systems
+from sck import cli, controllability, systems
+from sck.config import parse_run_config
 from sck.exceptions import DimensionError, DomainError
 from sck.galerkin import polynomial, trigonometric
 
@@ -459,6 +464,77 @@ class TestOneBlasThread:
             assert a.complex_points == b.complex_points
             assert a.witness_point == b.witness_point
             assert np.array_equal(a.witness, b.witness)
+
+
+def parity_report(N, grid) -> str:
+    """verdict's rendered payload on ``parity_system(N)``."""
+    raw = {"system": {"divform1d": {
+        "N": N, "a": {"type": "trigonometric", "offset": 1.0, "sin": [0.5]},
+        "c": {"type": "trigonometric", "cos": [0.3]},
+        "b": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]}}}, "lambda_grid": grid}
+    return cli.render_json(cli._jsonable(cli.run_subcommand("verdict", parse_run_config(raw))))
+
+
+class TestTwoThreadVerdict:
+    """verdict's spectra run on a helper thread beside the subspace sweep."""
+
+    GRID = [-1.0, 0.5, 40.0, 1.5]  # 40 is outside the joint-dissipativity set
+
+    @pytest.mark.parametrize("N", [16, 64])
+    def test_claim_winner_moves_no_bit(self, N, monkeypatch):
+        me, takers = threading.get_ident(), []
+        free = parity_report(N, self.GRID)
+        real_spectrum, real_try_run = controllability._spectrum, systems._Task.try_run
+
+        def spectrum(M_T):
+            takers.append(threading.get_ident() == me)
+            return real_spectrum(M_T)
+
+        def delayed(on_this_thread):
+            """try_run that first sleeps 50 ms on one thread, for a spectrum
+            no thread has claimed."""
+            def try_run(task):
+                if (threading.get_ident() == me) == on_this_thread and task.fn is spectrum \
+                        and not task.claim.locked():
+                    time.sleep(0.05)
+                return real_try_run(task)
+            return try_run
+
+        monkeypatch.setattr(controllability, "_spectrum", spectrum)
+        runs = {}
+        for helper_first in (False, True):
+            takers.clear()
+            with monkeypatch.context() as m:
+                m.setattr(systems._Task, "try_run", delayed(on_this_thread=helper_first))
+                runs[helper_first] = parity_report(N, self.GRID), list(takers)
+        spectra = 1 + 3  # A^T and the three accepted (A + lam C)^T
+        mine, taken = runs[False]
+        assert taken == [True] * spectra  # the helper was always late
+        helpers, taken = runs[True]
+        assert taken == [False] * spectra  # this thread was always late
+        assert mine == free and helpers == free
+
+    def test_concurrent_verdicts_agree(self):
+        serial = parity_report(64, self.GRID)
+        pool = systems._blas_threads()
+        before = pool[0]() if pool else None
+        reports, interval = [None] * 3, sys.getswitchinterval()
+
+        def run(i):
+            reports[i] = parity_report(64, self.GRID)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert reports == [serial] * 3
+        assert (pool[0]() if pool else None) == before
 
 
 NAN_2X2 = np.array([[-1.0, 0.0], [0.0, np.nan]])

@@ -12,6 +12,7 @@ from sck import (
     strict_invariant_subspace,
     verdict,
 )
+from sck import systems
 from sck.exceptions import DomainError, EllipticityError, EvaluationError
 from sck.galerkin import composite_gauss, constant, polynomial, trigonometric
 
@@ -112,6 +113,24 @@ class TestAssembleDivform:
         assert np.max(np.abs(s2.A[:6, :6] - s1.A)) <= 1e-9
         assert np.max(np.abs(s2.C[:6, :6] - s1.C)) <= 1e-9
         assert np.max(np.abs(s2.B[:6] - s1.B)) <= 1e-9
+
+    @pytest.mark.skipif(systems._blas_threads() is None,
+                        reason="numpy.linalg does not run on OpenBLAS")
+    @pytest.mark.parametrize("N", [16, 128])
+    def test_same_matrices_under_any_openblas_thread_count(self, N):
+        spec = HeatSystemSpec(N, trigonometric(1.0, [0.5]), trigonometric(0.0, [], [0.3]),
+                              polynomial([0.0, 1.0, -1.0]))
+        get, set_ = systems._blas_threads()
+        before, out = get(), {}
+        try:
+            for threads in (1, 2):
+                set_(threads)
+                s = assemble_divform_1d(spec)
+                out[threads] = [s.A, s.B, s.C1, s.C2]
+                assert get() == threads  # left as found
+        finally:
+            set_(before)
+        assert all(np.array_equal(a, b) for a, b in zip(out[1], out[2]))
 
     def test_zero_control_shape(self):
         spec = HeatSystemSpec(N=4, a_fn=constant(1.0), c_fn=constant(0.0),
