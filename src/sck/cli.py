@@ -425,7 +425,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.seed is not None:
             if cfg.sim is None:
                 raise ConfigError("--seed given but config has no sim section")
-            cfg.sim = replace(cfg.sim, seed=args.seed)
+            try:
+                cfg.sim = replace(cfg.sim, seed=args.seed)
+            except DomainError as exc:
+                raise ConfigError(f"--seed: {exc}") from exc
             cfg.resolved["sim"]["seed"] = args.seed
         if args.format:
             cfg.format = args.format

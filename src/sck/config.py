@@ -65,17 +65,14 @@ def parse_pi_expression(text: str) -> float:
 def _number(value: Any, path: str) -> tuple[float, float]:
     if isinstance(value, bool):
         raise ConfigError(f"{path}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        out = float(value)
-    elif isinstance(value, str):
-        try:
-            out = parse_pi_expression(value)
-        except OverflowError:
-            out = math.inf  # a power too large for a double
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    else:
+    if not isinstance(value, (int, float, str)):
         raise ConfigError(f"{path}: expected a number or pi-expression string")
+    try:
+        out = parse_pi_expression(value) if isinstance(value, str) else float(value)
+    except OverflowError:
+        out = math.inf  # an integer or a power too large for a double
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not math.isfinite(out):
         raise ConfigError(f"{path}: value is not finite")
     return out, out

@@ -18,10 +18,11 @@ OpenBLAS the pool is left alone.
 
 ``verdict`` instead runs on two Python threads.  Once it has decided the
 accepted lambdas, the eigen-decompositions of A^T and of each accepted
-(A + lam C)^T become tasks (``systems._Task``) that one helper thread
-claims in turn, while the calling thread runs the subspace sweep; the N1
-and N2 scans then run on the calling thread, each first running any of its
-decompositions the helper has not begun and then waiting for the rest.
+(A + lam C)^T become tasks (``systems._Task``) that the helper, a
+one-worker ``ThreadPoolExecutor``, claims in turn while the calling thread
+runs the subspace sweep; the N1 and N2 scans then run on the calling
+thread, each first running any of its decompositions the helper has not
+begun and then waiting for the rest.
 Every public function, and so every span a tracer wraps around one, runs
 on the calling thread; the helper runs only ``_spectrum``.  Each task runs
 whole on one OpenBLAS thread, so the report does not depend on which
@@ -30,6 +31,7 @@ thread ran it.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -40,7 +42,6 @@ from .systems import (
     StochasticSystem,
     SubspaceBasis,
     ToleranceConfig,
-    _Helper,
     _one_blas_thread,
     _Task,
     lambda_set,
@@ -264,12 +265,10 @@ def check_condition(
                     )
         operators = [(lam, sys.A + lam * C) for lam in lams]
 
-    if _spectra is None:
-        spectra = [None] * len(operators)
-    else:
-        for task in _spectra:  # run what the helper has not begun, then wait for the rest
-            task.try_run()
-        spectra = [task.settle() for task in _spectra]
+    tasks = _spectra or [_Task(_spectrum, M.T) for _, M in operators]
+    for task in tasks:  # run what verdict's helper has not begun, then wait for the rest
+        task.try_run()
+    spectra = [task.settle() for task in tasks]
     found = [(p, w) for (lam, M), spectrum in zip(operators, spectra)
              for p, w in _spectral_points(M.T, B_T, lam, spectrum)
              if p.alpha < 0 and p.alpha_im >= 0]  # one of each conjugate pair
@@ -418,15 +417,15 @@ def verdict(
     joint-dissipativity test (the condition only quantifies over that set);
     rejected grid values are simply dropped here, while calling
     :func:`check_condition` directly with a rejected value raises.  The set
-    is decided once.  A helper thread computes the spectra of A^T and of
-    each accepted (A + lam C)^T while this thread runs the subspace sweep;
-    the scans then run here, as the module docstring says.
+    is decided once.  A one-worker ``ThreadPoolExecutor`` computes the
+    spectra of A^T and of each accepted (A + lam C)^T beside the subspace
+    sweep; the scans then run here, as the module docstring says.
     """
     lambdas = [float(l) for l in lambdas]
     accepted = [p.lam for p in lambda_set(sys, lambdas, cfg) if p.in_set] if lambdas else []
     A, C = sys.A, sys.C
     spectra = [_Task(_spectrum, M.T) for M in [A] + [A + lam * C for lam in accepted]]
-    helper = _Helper()
+    helper = ThreadPoolExecutor(max_workers=1)
     try:
         for task in spectra:
             helper.submit(task.try_run)
@@ -434,7 +433,7 @@ def verdict(
         n1 = check_condition(sys, [], "N1", cfg, _spectra=spectra[:1])
         n2 = check_condition(sys, accepted, "N2", cfg, _spectra=spectra[1:]) if accepted else None
     finally:
-        helper.close()
+        helper.shutdown(cancel_futures=True)
     commuting = commuting_case_check(sys)
 
     n1_passed = n1.passed

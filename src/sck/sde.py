@@ -18,8 +18,8 @@ two steps later; public results keep paths-first shapes.
 
 The sweep runs each step on two threads under one OpenBLAS thread: the
 calling thread, which also runs the consumer of the sweep and every public
-function, and one helper thread per sweep (``systems._Helper``, the task
-engine that ``controllability.verdict`` uses too).  Every piece of work is
+function, and a one-worker ``ThreadPoolExecutor`` per sweep, the helper, as
+``controllability.verdict`` uses too.  Every piece of work is
 a task (``systems._Task``) that whichever thread claims it first runs whole:
 the draw of a step's dW, the products F X_k and C X_k (one pair per lane),
 and, on each half of the paths, the update that adds (C X_k) dW_k and each
@@ -36,6 +36,7 @@ on the schedule nor on the host's core count.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence, Union
 
@@ -45,7 +46,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .exceptions import DimensionError, DomainError, StabilityError
-from .systems import StochasticSystem, _Helper, _one_blas_thread, _Task, as_matrix, as_vector
+from .systems import StochasticSystem, _one_blas_thread, _Task, as_matrix, as_vector
 
 __all__ = [
     "SimConfig",
@@ -311,7 +312,7 @@ def _sweep(lanes: list[tuple[np.ndarray, np.ndarray]], x0: np.ndarray, bu,
 
     draws = {j: _Task(_draw, cfg, j, dws[j % 3]) for j in range(min(K, 2))}
     with _one_blas_thread():
-        helper = _Helper()
+        helper = ThreadPoolExecutor(max_workers=1)
         try:
             helper.submit(helper_job, list(draws.values()), [], [])
             yield 0, None, (X[0] if one else X).T
@@ -338,7 +339,7 @@ def _sweep(lanes: list[tuple[np.ndarray, np.ndarray]], x0: np.ndarray, bu,
                 X, nxt = nxt, X
                 yield k + 1, dw, (X[0] if one else X).T
         finally:
-            helper.close()
+            helper.shutdown(cancel_futures=True)
 
 
 def _forward_sweep(

@@ -9,7 +9,6 @@ part enters the joint-dissipativity test.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import ctypes
 import functools
@@ -107,11 +106,11 @@ def _one_blas_thread():
 
 
 class _Task:
-    """A piece of work that whichever thread claims it first runs whole: a
-    step piece of the forward sweep (``sde``) or one spectrum of
-    ``controllability.verdict``.  The claim is a non-blocking acquire of
-    ``claim``; ``done`` is held until the task has run, and its result or
-    failure is kept for every waiter."""
+    """A piece of work that whichever thread claims it first runs whole: the
+    caller or its one-worker ``ThreadPoolExecutor``, on a step piece of the
+    forward sweep (``sde``) or a spectrum of ``controllability.verdict``.
+    The claim is a non-blocking acquire of ``claim``; ``done`` is held until
+    the task has run, and its result or failure is kept for every waiter."""
 
     __slots__ = ("fn", "args", "claim", "done", "result", "error")
 
@@ -142,42 +141,6 @@ class _Task:
             if self.error is not None:
                 raise self.error
         return self.result
-
-
-class _Helper:
-    """A thread beside the caller that runs submitted jobs in turn; the
-    sweep and ``verdict`` each start one per call.  Jobs only run tasks, which keep their own failures for the caller, so a job
-    that fails just ends.  ``close`` drops the jobs not yet started and
-    joins the thread."""
-
-    def __init__(self):
-        self._jobs, self._ready, self._closing = collections.deque(), threading.Semaphore(0), False
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            self._ready.acquire()
-            job = self._jobs.popleft()
-            if job is None:
-                return
-            if self._closing:
-                continue
-            fn, *args = job
-            try:
-                fn(*args)
-            except BaseException:  # kept by the failed task, re-raised where it is settled
-                pass
-
-    def submit(self, fn, *args):
-        self._jobs.append((fn, *args))
-        self._ready.release()
-
-    def close(self):
-        self._closing = True
-        self._jobs.append(None)
-        self._ready.release()
-        self._thread.join()
 
 
 def _square(M: np.ndarray, name: str) -> np.ndarray:

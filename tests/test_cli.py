@@ -211,6 +211,10 @@ class TestParseRunConfig:
          "system.divform1d.a: unknown fields ['v']"),
         ("system", {"example2": {"N": 4, "b_coeffs": [1, 1, 1, 1]}, "extra": 1},
          "system: unknown fields ['extra']"),
+        # JSON integers too large for a double
+        ("lambda_grid", [10**400], "lambda_grid[0]: value is not finite"),
+        ("system", {"matrices": {"A": [[-1, 0], [0, -(10**400)]], "B": [[1], [1]]}},
+         "system.matrices.A[1][1]: value is not finite"),
     ])
     def test_malformed_section_is_rejected(self, tmp_path, capsys, section, value, message):
         raw = dict(EXAMPLE2, **{section: value})
@@ -398,6 +402,13 @@ class TestErrorStatuses:
         code, text = run_cli(tmp_path, "check-n1", EXAMPLE2, extra=extra)
         assert code == 1 and text is None
         assert capsys.readouterr().err == f"sck: input error: {message}\n"
+
+    def test_seed_errors_name_the_flag(self, tmp_path, capsys):
+        raw = dict(EXAMPLE2, sim=SMALL_SIM, x0=[1, 0, 0, 0])
+        code, text = run_cli(tmp_path, "simulate-forward", raw, extra=("--seed", "-5"))
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == (
+            "sck: input error: --seed: seed must fit in an unsigned 64-bit integer\n")
 
     def test_unknown_subcommand_in_library_calls(self):
         with pytest.raises(ConfigError, match="unknown subcommand"):

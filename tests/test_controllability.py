@@ -514,6 +514,44 @@ class TestTwoThreadVerdict:
         assert taken == [False] * spectra  # this thread was always late
         assert mine == free and helpers == free
 
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_failure_on_either_thread_unwinds(self, monkeypatch, failing):
+        # the sweep waits until the helper has taken a spectrum, so a failing
+        # helper always fails a task that the calling thread then settles
+        boom, me, helper_took = RuntimeError("failed"), threading.get_ident(), threading.Event()
+        real_spectrum, real_sweep = controllability._spectrum, controllability.strict_invariant_subspace
+
+        def spectrum(M_T):
+            if threading.get_ident() != me:
+                helper_took.set()
+                if failing == "helper":
+                    raise boom
+            return real_spectrum(M_T)
+
+        def sweep(A, C, B):
+            assert helper_took.wait(10), "the helper never took a spectrum"
+            if failing == "caller":
+                raise boom
+            return real_sweep(A, C, B)
+
+        monkeypatch.setattr(controllability, "_spectrum", spectrum)
+        monkeypatch.setattr(controllability, "strict_invariant_subspace", sweep)
+        blas = systems._blas_threads()
+        before = blas[0]() if blas else None
+        if blas:
+            blas[1](2)  # so that a pin to 1 left behind shows
+        threads = threading.active_count()
+        try:
+            with pytest.raises(RuntimeError) as raised:
+                verdict(parity_system(16), self.GRID)
+            assert raised.value is boom
+            assert threading.active_count() == threads
+            if blas:
+                assert blas[0]() == 2
+        finally:
+            if blas:
+                blas[1](before)
+
     def test_concurrent_verdicts_agree(self):
         serial = parity_report(64, self.GRID)
         pool = systems._blas_threads()
