@@ -42,7 +42,7 @@ from .sde import (
     _forward_sweep,
     _pair,
 )
-from .systems import StochasticSystem, _expm, as_vector
+from .systems import StochasticSystem, _expm, as_array
 from .systems import yosida as yosida_pair
 
 __all__ = [
@@ -70,7 +70,7 @@ class DeterministicTerminal:
     xi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", as_vector(self.xi, "xi"))
+        object.__setattr__(self, "xi", as_array(self.xi, 1, "xi"))
 
     def scaled(self, c: float) -> "DeterministicTerminal":
         return DeterministicTerminal(c * self.xi)
@@ -84,8 +84,8 @@ class LinearInWTTerminal:
     xi1: np.ndarray
 
     def __post_init__(self):
-        xi0 = as_vector(self.xi0, "xi0")
-        xi1 = as_vector(self.xi1, "xi1")
+        xi0 = as_array(self.xi0, 1, "xi0")
+        xi1 = as_array(self.xi1, 1, "xi1")
         if xi0.shape != xi1.shape:
             raise DimensionError("xi0 and xi1 must have the same length")
         object.__setattr__(self, "xi0", xi0)
@@ -286,7 +286,7 @@ def duality_check(
     """
     sweep = _forward_sweep(sys, x0, control, cfg)  # checks inputs before the solve
     sol = solve_dual_bsde(sys, terminal, cfg, 2)
-    x0, y = as_vector(x0, "x0"), sol.coef
+    x0, y = as_array(x0, 1, "x0"), sol.coef
     M, rows = _forward_moments(sys, x0, control, cfg, y.shape[1] - 1)
     lhs_terms = M[-1] * y[-1]
     rhs_terms = np.concatenate([x0 * y[0, 0], np.ravel(rows * y[1:, :rows.shape[1]])])

@@ -5,9 +5,9 @@ payload from the run configuration, and a rows function that flattens that
 payload into the subcommand's CSV table.
 Reports embed the tool version, the resolved configuration, the seed
 and the wall-clock duration; the numerical results live under ``payload``.
-Re-running the embedded config reproduces the payload bit for bit.  Exit
-status: 0 analysis success (including negative verdicts), 1 input error,
-2 numerical or I/O failure.
+Re-running the embedded config reproduces the payload bit for bit on the
+same BLAS kernel.  Exit status: 0 analysis success (including negative
+verdicts), 1 input error, 2 numerical or I/O failure.
 """
 
 from __future__ import annotations

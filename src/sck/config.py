@@ -264,12 +264,7 @@ def _system(spec: Any, path: str):
         )
     kind = sources[0]
     values, resolved = _object({kind: partial(_object, _SYSTEMS[kind][0])}, spec, path)
-    parts = values[kind]
-    if kind == "matrices" and parts["C"] is not None and (
-        parts["C1"] is not None or parts["C2"] is not None
-    ):
-        raise ConfigError(f"{path}.{kind}: give either C or the C1/C2 split")
-    return (kind, parts), resolved
+    return (kind, values[kind]), resolved
 
 
 def _section(parse: Callable, default: Any = None, shown: bool = False):
@@ -287,7 +282,7 @@ class RunConfig:
     in and pi-expressions evaluated, except in ``control``, ``terminal``,
     ``apriori.terminals`` and the ``divform1d`` coefficients, which are
     copied as written.  Re-running it reproduces a report's numerical
-    payload exactly.
+    payload bit for bit on the same BLAS kernel.
     """
 
     system: tuple[str, dict] = _section(_system, ..., shown=True)

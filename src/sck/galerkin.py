@@ -17,7 +17,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .controllability import _negligible, _spectrum
 from .exceptions import DimensionError, DomainError, EllipticityError, EvaluationError
-from .systems import StochasticSystem, ToleranceConfig, _one_blas_thread, as_vector
+from .systems import StochasticSystem, ToleranceConfig, _one_blas_thread, as_array
 
 __all__ = [
     "HeatSystemSpec",
@@ -37,12 +37,7 @@ _PANEL_ORDER = 8
 
 def constant(value: float) -> Callable[[np.ndarray], np.ndarray]:
     """Constant coefficient x -> value."""
-    value = float(value)
-
-    def f(x):
-        return np.full_like(np.asarray(x, dtype=float), value)
-
-    return f
+    return polynomial([value])
 
 
 def polynomial(coeffs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -150,7 +145,7 @@ def assemble_example2(N: int, b_coeffs) -> StochasticSystem:
     """
     if N < 2:
         raise DomainError(f"N must be >= 2, got {N}")
-    b = as_vector(b_coeffs, "b_coeffs")
+    b = as_array(b_coeffs, 1, "b_coeffs")
     if b.shape[0] != N:
         raise DimensionError(f"b_coeffs must have length {N}, got {b.shape[0]}")
     k = np.arange(1, N + 1, dtype=float)

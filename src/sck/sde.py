@@ -46,7 +46,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .exceptions import DimensionError, DomainError, StabilityError
-from .systems import StochasticSystem, _one_blas_thread, _Task, as_matrix, as_vector
+from .systems import StochasticSystem, _one_blas_thread, _Task, as_array
 
 __all__ = [
     "SimConfig",
@@ -155,7 +155,7 @@ class ConstantControl:
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u", as_vector(self.u, "u"))
+        object.__setattr__(self, "u", as_array(self.u, 1, "u"))
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,7 @@ class PiecewiseConstantControl:
     values: np.ndarray
 
     def __post_init__(self):
-        v = as_matrix(self.values, "values")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", as_array(self.values, 2, "values"))
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ class FeedbackControl:
     K: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "K", as_matrix(self.K, "K"))
+        object.__setattr__(self, "K", as_array(self.K, 2, "K"))
 
 
 Control = Union[ZeroControl, ConstantControl, PiecewiseConstantControl, FeedbackControl]
@@ -262,7 +261,7 @@ def _pair(A: np.ndarray, C: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarr
 
 def _initial_state(x0, sys: StochasticSystem) -> np.ndarray:
     """x0 as a vector of length n, checked before any simulation."""
-    x0 = as_vector(x0, "x0")
+    x0 = as_array(x0, 1, "x0")
     if x0.shape[0] != sys.n:
         raise DimensionError(f"x0 must have length n={sys.n}, got {x0.shape[0]}")
     return x0

@@ -32,23 +32,17 @@ __all__ = [
 ]
 
 
-def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite float64 2-D array; always a fresh copy, so callers
-    and callees never alias each other's data."""
-    M = np.array(M, dtype=float)
-    if M.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise DomainError(f"{name} contains non-finite entries")
-    return M
-
-
-def as_vector(x, name: str = "vector") -> np.ndarray:
+def as_array(x, ndim: int, name: str, square: bool = False) -> np.ndarray:
+    """Coerce to a finite float64 array of ``ndim`` dimensions, square if
+    asked; always a fresh copy, so callers and callees never alias each
+    other's data."""
     x = np.array(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"{name} must be 1-D, got shape {x.shape}")
+    if x.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{name} contains non-finite entries")
+    if square and x.shape[0] != x.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {x.shape}")
     return x
 
 
@@ -143,12 +137,6 @@ class _Task:
         return self.result
 
 
-def _square(M: np.ndarray, name: str) -> np.ndarray:
-    if M.shape[0] != M.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {M.shape}")
-    return M
-
-
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical thresholds of the dissipativity and ellipticity tests.
@@ -194,17 +182,17 @@ class StochasticSystem:
     """
 
     def __init__(self, A, B, C1=None, C2=None, *, C=None, gamma: float = 0.0):
-        A = _square(as_matrix(A, "A"), "A")
+        A = as_array(A, 2, "A", square=True)
         n = A.shape[0]
-        B = as_matrix(B, "B")
+        B = as_array(B, 2, "B")
         if B.shape[0] != n:
             raise DimensionError(f"B must have {n} rows, got {B.shape[0]}")
         if C is not None:
             if C1 is not None or C2 is not None:
                 raise DomainError("pass either C or the C1/C2 split, not both")
             C1 = C
-        C1 = np.zeros((n, n)) if C1 is None else _square(as_matrix(C1, "C1"), "C1")
-        C2 = np.zeros((n, n)) if C2 is None else _square(as_matrix(C2, "C2"), "C2")
+        C1 = np.zeros((n, n)) if C1 is None else as_array(C1, 2, "C1", square=True)
+        C2 = np.zeros((n, n)) if C2 is None else as_array(C2, 2, "C2", square=True)
         if C1.shape[0] != n or C2.shape[0] != n:
             raise DimensionError("C1 and C2 must be n x n")
         if not (0.0 <= gamma < 0.5):
@@ -235,9 +223,7 @@ class SubspaceBasis:
     ORTHO_TOL = 1e-10
 
     def __init__(self, basis: np.ndarray):
-        basis = np.asarray(basis, dtype=float)
-        if basis.ndim != 2:
-            raise DimensionError("basis must be an n x dim matrix")
+        basis = as_array(basis, 2, "basis")
         dim = basis.shape[1]
         if dim > 0:
             gram = basis.T @ basis
@@ -249,7 +235,7 @@ class SubspaceBasis:
 
     def contains(self, v: np.ndarray, tol: float) -> bool:
         """Whether v lies in the subspace up to relative residual tol."""
-        v = as_vector(v)
+        v = as_array(v, 1, "vector")
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return True
@@ -268,7 +254,7 @@ def is_dissipative(M, tol: float = 0.0) -> bool:
     Decided through the top eigenvalue of the symmetric part (M + M^T)/2,
     which is exactly equivalent at finite dimension.
     """
-    M = _square(as_matrix(M, "M"), "M")
+    M = as_array(M, 2, "M", square=True)
     if tol < 0:
         raise DomainError("tol must be >= 0")
     sym = 0.5 * (M + M.T)
@@ -332,7 +318,7 @@ def yosida(A, nres: int) -> tuple[np.ndarray, np.ndarray]:
     For dissipative A the resolvent exists for every nres >= 1, ||J|| <= 1,
     An is again dissipative, and An x -> A x as nres grows.
     """
-    A = _square(as_matrix(A, "A"), "A")
+    A = as_array(A, 2, "A", square=True)
     if nres < 1:
         raise DomainError("nres must be a positive integer")
     n = A.shape[0]
@@ -349,8 +335,8 @@ def yosida(A, nres: int) -> tuple[np.ndarray, np.ndarray]:
 
 def semigroup_apply(A, t: float, x) -> np.ndarray:
     """Evaluate exp(t A) x by scaling-and-squaring matrix exponential."""
-    A = _square(as_matrix(A, "A"), "A")
-    x = as_vector(x, "x")
+    A = as_array(A, 2, "A", square=True)
+    x = as_array(x, 1, "x")
     if x.shape[0] != A.shape[0]:
         raise DimensionError("x length must match A")
     if not np.isfinite(t) or t < 0:

@@ -410,6 +410,34 @@ class TestErrorStatuses:
         assert capsys.readouterr().err == (
             "sck: input error: --seed: seed must fit in an unsigned 64-bit integer\n")
 
+    def test_config_that_is_not_json(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text("{not json")
+        code = main(["check-n1", "--config", str(cfg_path), "--output", str(tmp_path / "o")])
+        assert code == 1 and not (tmp_path / "o").exists()
+        assert capsys.readouterr().err.startswith(
+            "sck: input error: config is not valid JSON: ")
+
+    def test_seed_without_sim_section(self, tmp_path, capsys):
+        code, text = run_cli(tmp_path, "check-n1", EXAMPLE2, extra=("--seed", "5"))
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == (
+            "sck: input error: --seed given but config has no sim section\n")
+
+    def test_no_output_path(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(EXAMPLE2))
+        assert main(["check-n1", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "sck: input error: no output path: pass --output or set output_path\n")
+
+    def test_noise_given_twice(self, tmp_path, capsys):
+        system = {"matrices": {"A": [[-1.0]], "B": [[1.0]], "C": [[0.5]], "C1": [[0.5]]}}
+        code, text = run_cli(tmp_path, "check-n1", {"system": system})
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == (
+            "sck: input error: system.matrices: pass either C or the C1/C2 split, not both\n")
+
     def test_unknown_subcommand_in_library_calls(self):
         with pytest.raises(ConfigError, match="unknown subcommand"):
             run_subcommand("frobnicate", parse_run_config(dict(EXAMPLE2, sim=SMALL_SIM)))
@@ -452,6 +480,12 @@ class TestEllipticityCommand:
 
 
 class TestCsvAndParity:
+    def test_format_flag_overrides_config(self, tmp_path):
+        code, text = run_cli(tmp_path, "check-n1", dict(EXAMPLE2, format="json"),
+                             extra=("--format", "csv"))
+        assert code == 0
+        assert text.splitlines()[0] == CSV_HEADERS["check-n1"]
+
     def test_lambda_set_csv(self, tmp_path):
         cfg = dict(EXAMPLE2, lambda_grid=[-5, 0, 5], format="csv")
         code, text = run_cli(tmp_path, "lambda-set", cfg)
@@ -567,6 +601,18 @@ class TestSimulationCommands:
         p = json.loads(text)["payload"]
         assert len(p["samples"]) == 5
         assert p["scale_ok"] is True
+
+    def test_apriori_given_terminals(self, tmp_path):
+        # five terminals of their own shapes, none a rescaling of `terminal`
+        xis = [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4], [5, 5, 0, 0]]
+        cfg = dict(EXAMPLE2, sim=dict(self.SIM, n_paths=500),
+                   terminal={"type": "deterministic", "xi": [0.3, 1.0, -0.5, 0.2]},
+                   apriori={"terminals": [{"type": "deterministic", "xi": xi} for xi in xis]})
+        code, text = run_cli(tmp_path, "apriori", cfg)
+        assert code == 0
+        samples = json.loads(text)["payload"]["samples"]
+        assert [s["xi_mean_square"] for s in samples] == pytest.approx(
+            [1.0, 4.0, 9.0, 16.0, 50.0], rel=1e-12)
 
     def test_convergence_command(self, tmp_path):
         cfg = dict(EXAMPLE2, sim=dict(self.SIM, n_paths=100),

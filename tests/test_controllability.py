@@ -154,6 +154,18 @@ class TestCheckCondition:
         with pytest.raises(DomainError):
             check_condition(example2_system(), [], "N3")
 
+    def test_n2_needs_a_lambda(self):
+        with pytest.raises(DomainError, match="N2 requires a non-empty lambda list"):
+            check_condition(example2_system(), [], "N2")
+
+    def test_margin_above_roundoff_is_resolved(self):
+        # sigma = 1e-13 at alpha = -2 sits about 9x above 16 eps * 3, where
+        # 3 = ||B||_2 (1 + ||M|| / gap); a round-off rule of 1024 eps flags it
+        rep = check_condition(StochasticSystem(np.diag([-1.0, -2.0]), [[1.0], [1e-13]]),
+                              [], "N1")
+        assert rep.passed
+        assert rep.min_sigma == pytest.approx(1e-13, rel=1e-6)
+
     def test_complex_spectrum_goes_to_complex_points(self):
         A = np.array([[-1.0, 5.0], [-5.0, -1.0]])  # eigenvalues -1 +- 5i
         s = StochasticSystem(A, np.ones((2, 1)))
@@ -630,6 +642,15 @@ class TestStrictInvariantSubspace:
         # Ker B^T itself is strictly invariant
         s = parity_system(N)
         assert strict_invariant_subspace(s.A, s.C, s.B).dim == N - 1
+
+    def test_weak_coupling_is_resolved(self):
+        # A^T e2 = -e2 + 1e-7 e1 has a part outside Ker B^T = span{e2, e3},
+        # so only span{e3} is strictly invariant; a sweep threshold of 1e-7
+        # or looser reads the coupling as round-off and keeps e2 as well
+        A = np.array([[-3.0, 0.0, 0.0], [1e-7, -1.0, 0.0], [0.0, 0.0, -2.0]])
+        V = strict_invariant_subspace(A, np.zeros((3, 3)), np.eye(3)[:, :1])
+        assert V.dim == 1
+        assert V.contains(np.array([0.0, 0.0, 1.0]), 1e-12)
 
     def test_example2_contains_known_vector(self):
         s = example2_system()

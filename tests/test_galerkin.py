@@ -132,6 +132,13 @@ class TestAssembleDivform:
             set_(before)
         assert all(np.array_equal(a, b) for a, b in zip(out[1], out[2]))
 
+    @pytest.mark.parametrize("N", [16, 128])
+    def test_drift_is_exactly_symmetric(self, N):
+        spec = HeatSystemSpec(N, trigonometric(1.0, [0.5]), trigonometric(0.0, [], [0.3]),
+                              polynomial([0.0, 1.0, -1.0]))
+        s = assemble_divform_1d(spec)
+        assert np.array_equal(s.A, s.A.T)
+
     def test_zero_control_shape(self):
         spec = HeatSystemSpec(N=4, a_fn=constant(1.0), c_fn=constant(0.0),
                               b_fn=constant(0.0))

@@ -63,6 +63,18 @@ class TestSubspaceBasis:
         with pytest.raises(DomainError):
             SubspaceBasis(np.array([[1.0], [1.0]]))
 
+    def test_non_finite_basis_rejected(self):
+        # NaN > ORTHO_TOL is False, so only the finiteness check catches it
+        with pytest.raises(DomainError, match="basis contains non-finite entries"):
+            SubspaceBasis(np.array([[np.nan], [0.0]]))
+
+    def test_callers_array_stays_writeable(self):
+        basis = np.array([[1.0], [0.0]])
+        b = SubspaceBasis(basis)
+        assert basis.flags.writeable and not b.basis.flags.writeable
+        basis[0, 0] = 0.0
+        assert b.basis[0, 0] == 1.0
+
     def test_contains(self):
         b = SubspaceBasis(np.array([[1.0], [0.0]]))
         assert b.contains(np.array([2.0, 0.0]), 1e-9)
