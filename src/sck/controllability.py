@@ -17,14 +17,14 @@ restored when the call returns or raises.  Under a BLAS that is not
 OpenBLAS the pool is left alone.
 
 ``verdict`` instead runs on two Python threads.  Once it has decided the
-accepted lambdas, the eigen-decompositions of A^T and of each accepted
-(A + lam C)^T become tasks (``systems._Task``) that the helper, a
-one-worker ``ThreadPoolExecutor``, claims in turn while the calling thread
-runs the subspace sweep; the N1 and N2 scans then run on the calling
-thread, each first running any of its decompositions the helper has not
-begun and then waiting for the rest.
+accepted lambdas, ``systems._offload`` hands the eigen-decompositions of
+A^T and of each accepted (A + lam C)^T, last first, to the helper, a
+one-worker ``ThreadPoolExecutor``, while the calling thread runs the
+subspace sweep; the N1 and N2 scans then run on the calling thread and
+claim the decompositions in order through their Futures, running any the
+helper has not begun.
 Every public function, and so every span a tracer wraps around one, runs
-on the calling thread; the helper runs only ``_spectrum``.  Each task runs
+on the calling thread; the helper runs only ``_spectrum``.  Each job runs
 whole on one OpenBLAS thread, so the report does not depend on which
 thread ran it.
 """
@@ -42,8 +42,8 @@ from .systems import (
     StochasticSystem,
     SubspaceBasis,
     ToleranceConfig,
+    _offload,
     _one_blas_thread,
-    _Task,
     lambda_set,
 )
 
@@ -219,7 +219,7 @@ def check_condition(
     cfg: ToleranceConfig = ToleranceConfig(),
     explicit_points: Optional[Sequence[tuple[float, float]]] = None,
     *,
-    _spectra: Optional[Sequence[_Task]] = None,
+    _spectra: Optional[Sequence] = None,
 ) -> HautusReport:
     """Scan a Hautus-type necessary condition for approximate controllability.
 
@@ -236,15 +236,15 @@ def check_condition(
     evaluations (for N1 the lam entry is ignored).  Flags follow
     ``_negligible``; ``cfg`` enters only the lambda test.
 
-    ``_spectra`` is :func:`verdict`'s: one task per operator, in order, whose
-    result is that operator's ``_spectrum``.  Its lambdas are the ones
-    verdict accepted, so the lambda test is not repeated.
+    ``_spectra`` is :func:`verdict`'s: one claim (``systems._offload``) per
+    operator, in order, returning that operator's ``_spectrum``.  Its lambdas
+    are the ones verdict accepted, so the lambda test is not repeated.
 
     Raises
     ------
     DomainError
-        For an unknown condition tag, or an N2 lambda outside the accepted
-        joint-dissipativity set.
+        For an unknown condition tag, or an N2 lambda, listed or explicit,
+        outside the accepted joint-dissipativity set.
     """
     if condition not in CONDITION_TAGS:
         raise DomainError(f"condition must be one of {CONDITION_TAGS}, got {condition!r}")
@@ -257,7 +257,8 @@ def check_condition(
             raise DomainError("N2 requires a non-empty lambda list")
         C = sys.C
         if _spectra is None:  # else verdict has accepted every lambda already
-            for pt in lambda_set(sys, lams, cfg):
+            explicit = [float(lam) for lam, _ in explicit_points or ()]
+            for pt in lambda_set(sys, lams + explicit, cfg):
                 if not pt.in_set:
                     raise DomainError(
                         f"lambda={pt.lam} is outside the joint-dissipativity set "
@@ -265,10 +266,8 @@ def check_condition(
                     )
         operators = [(lam, sys.A + lam * C) for lam in lams]
 
-    tasks = _spectra or [_Task(_spectrum, M.T) for _, M in operators]
-    for task in tasks:  # run what verdict's helper has not begun, then wait for the rest
-        task.try_run()
-    spectra = [task.settle() for task in tasks]
+    spectra = ([claim() for claim in _spectra] if _spectra is not None
+               else [_spectrum(M.T) for _, M in operators])
     found = [(p, w) for (lam, M), spectrum in zip(operators, spectra)
              for p, w in _spectral_points(M.T, B_T, lam, spectrum)
              if p.alpha < 0 and p.alpha_im >= 0]  # one of each conjugate pair
@@ -419,16 +418,15 @@ def verdict(
     :func:`check_condition` directly with a rejected value raises.  The set
     is decided once.  A one-worker ``ThreadPoolExecutor`` computes the
     spectra of A^T and of each accepted (A + lam C)^T beside the subspace
-    sweep; the scans then run here, as the module docstring says.
+    sweep; the scans then claim them here, as the module docstring says.
     """
     lambdas = [float(l) for l in lambdas]
     accepted = [p.lam for p in lambda_set(sys, lambdas, cfg) if p.in_set] if lambdas else []
     A, C = sys.A, sys.C
-    spectra = [_Task(_spectrum, M.T) for M in [A] + [A + lam * C for lam in accepted]]
     helper = ThreadPoolExecutor(max_workers=1)
     try:
-        for task in spectra:
-            helper.submit(task.try_run)
+        spectra = _offload(helper, [(_spectrum, M.T)
+                                    for M in [A] + [A + lam * C for lam in accepted]])
         sub = strict_invariant_subspace(A, C, sys.B)
         n1 = check_condition(sys, [], "N1", cfg, _spectra=spectra[:1])
         n2 = check_condition(sys, accepted, "N2", cfg, _spectra=spectra[1:]) if accepted else None

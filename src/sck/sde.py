@@ -19,19 +19,18 @@ two steps later; public results keep paths-first shapes.
 The sweep runs each step on two threads under one OpenBLAS thread: the
 calling thread, which also runs the consumer of the sweep and every public
 function, and a one-worker ``ThreadPoolExecutor`` per sweep, the helper, as
-``controllability.verdict`` uses too.  Every piece of work is
-a task (``systems._Task``) that whichever thread claims it first runs whole:
-the draw of a step's dW, the products F X_k and C X_k (one pair per lane),
+``controllability.verdict`` uses too.  Each piece of work is a job that
+``systems._offload`` submits to the helper, a list at a time and last
+first; the calling thread claims the jobs in order through their Futures,
+running a job itself if the helper has not begun it.  The pieces are the
+draw of a step's dW, the products F X_k and C X_k (one pair per lane),
 and, on each half of the paths, the update that adds (C X_k) dW_k and each
 lane's B u_k dt and checks every lane for blow-up.  A step's draw does not
-depend on the state, so the helper draws up to two steps ahead, into a ring
-of three dW buffers, and then claims the step's products from the back
-while the calling thread claims them from the front; the update tasks start
-once every product is done.  The calling thread runs any task the helper
-has not begun, and waits only for tasks the helper is running, so a late
-helper costs parallelism but never a wait for it to start.  The split into
-tasks is fixed and each runs single-threaded, so the bits depend neither
-on the schedule nor on the host's core count.
+depend on the state, so it is submitted two steps ahead, into a ring of
+three dW buffers; the update jobs are submitted once every product has
+been claimed.  A late helper costs parallelism but never a wait for it to
+start.  The split into jobs is fixed and each runs single-threaded, so the
+bits depend neither on the schedule nor on the host's core count.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .exceptions import DimensionError, DomainError, StabilityError
-from .systems import StochasticSystem, _one_blas_thread, _Task, as_array
+from .systems import StochasticSystem, _offload, _one_blas_thread, as_array
 
 __all__ = [
     "SimConfig",
@@ -276,10 +275,11 @@ def _sweep(lanes: list[tuple[np.ndarray, np.ndarray]], x0: np.ndarray, bu,
     (n_paths, n, L).  ``bu(k, X)`` gets what step k starts from, paths-last,
     and returns step k's B u dt (per lane, in a list, for a block), or None;
     it is called on the calling thread once the consumer has taken X_k.
-    Steps run on two threads as the module docstring says; however the
-    sweep ends (a blow-up, a failed draw or a consumer closing it early),
-    the helper is stopped and joined and the OpenBLAS thread count restored
-    before the exception propagates.
+    Steps run on two threads as the module docstring says, each list of
+    jobs submitted last first and claimed in order through its Futures;
+    however the sweep ends (a blow-up, a failed draw or a consumer closing
+    it early), the helper is stopped and joined and the OpenBLAS thread
+    count restored before the exception propagates.
     """
     K, one = cfg.n_steps, x0.ndim == 1
     X = np.repeat(np.atleast_2d(x0)[..., None], cfg.n_paths, axis=-1)
@@ -289,52 +289,36 @@ def _sweep(lanes: list[tuple[np.ndarray, np.ndarray]], x0: np.ndarray, bu,
     dws = np.empty((3, cfg.n_paths))
     halves = (np.s_[..., :cfg.n_paths // 2], np.s_[..., cfg.n_paths // 2:])
 
-    def products(X: np.ndarray, out: np.ndarray) -> list[_Task]:
+    def products(X: np.ndarray, out: np.ndarray) -> list[tuple]:
         """F X into ``out`` and C X into ``noise``, one pair per lane."""
-        return [_Task(_product, M, x, o) for (F, C), x, fx, cx in zip(lanes, X, out, noise)
+        return [(_product, M, x, o) for (F, C), x, fx, cx in zip(lanes, X, out, noise)
                 for M, o in ((F, fx), (C, cx))]
 
     def finishes(k: int, out: np.ndarray, dw: np.ndarray,
-                 bu: Optional[list[np.ndarray]]) -> list[_Task]:
+                 bu: Optional[list[np.ndarray]]) -> list[tuple]:
         """The rest of step k on each half of the paths, every lane at once."""
         bu = None if bu is None else [np.broadcast_to(b, out.shape[1:]) for b in bu]
-        return [_Task(_finish, out[h], noise[h], dw[h[-1]],
-                      None if bu is None else [b[h] for b in bu], k + 1, cfg.dt) for h in halves]
+        return [(_finish, out[h], noise[h], dw[h[-1]],
+                 None if bu is None else [b[h] for b in bu], k + 1, cfg.dt) for h in halves]
 
-    def helper_job(ahead: list[_Task], prods: list[_Task], fins: list[_Task]):
-        for task in ahead + prods[::-1]:
-            task.try_run()
-        for task in prods:  # every product is done before any finish starts
-            task.settle()
-        for task in fins[::-1]:
-            task.try_run()
-
-    draws = {j: _Task(_draw, cfg, j, dws[j % 3]) for j in range(min(K, 2))}
     with _one_blas_thread():
         helper = ThreadPoolExecutor(max_workers=1)
         try:
-            helper.submit(helper_job, list(draws.values()), [], [])
+            draws = dict(enumerate(_offload(helper, [(_draw, cfg, j, dws[j])
+                                                     for j in range(min(K, 2))])))
             yield 0, None, (X[0] if one else X).T
             for k in range(K):
-                draws.pop(k).settle()  # dW_k, drawn here if the helper has not begun
+                draws.pop(k)()  # dW_k, drawn here if the helper has not begun it
                 if k + 2 < K:
-                    draws[k + 2] = _Task(_draw, cfg, k + 2, dws[(k + 2) % 3])
-                ahead = [draws[j] for j in (k + 1, k + 2) if j < K]
+                    draws[k + 2] = _offload(helper, [(_draw, cfg, k + 2, dws[(k + 2) % 3])])[0]
                 dw = dws[k % 3]
-                prods = products(X, nxt)
+                prods = _offload(helper, products(X, nxt))
                 b = bu(k, X[0] if one else X)
+                for claim in prods:
+                    claim()
                 fins = finishes(k, nxt, dw, [b] if one and b is not None else b)
-                helper.submit(helper_job, ahead, prods, fins)
-                for tasks in (prods, fins):
-                    for task in tasks:
-                        task.try_run()
-                    for task in tasks:
-                        task.settle()
-                for task in ahead:
-                    try:
-                        task.try_run()
-                    except Exception:  # kept by the task, re-raised at its own step
-                        pass
+                for claim in _offload(helper, fins):  # every product is done
+                    claim()
                 X, nxt = nxt, X
                 yield k + 1, dw, (X[0] if one else X).T
         finally:

@@ -99,42 +99,18 @@ def _one_blas_thread():
                 set_(_pinned["before"])
 
 
-class _Task:
-    """A piece of work that whichever thread claims it first runs whole: the
-    caller or its one-worker ``ThreadPoolExecutor``, on a step piece of the
-    forward sweep (``sde``) or a spectrum of ``controllability.verdict``.
-    The claim is a non-blocking acquire of ``claim``; ``done`` is held until
-    the task has run, and its result or failure is kept for every waiter."""
+def _offload(pool, jobs):
+    """Submit each job ``(fn, *args)`` to the one-worker ``pool``, last first,
+    and return one claim per job, in order.  A claim runs its job here if
+    ``Future.cancel`` succeeds, that is if the helper has not begun it, else
+    waits for the helper's run; it returns the result or re-raises.  So the
+    helper works from the back while the caller claims from the front, and
+    each job runs whole on one thread."""
+    def claim(fn, args, future):
+        return lambda: fn(*args) if future.cancel() else future.result()
 
-    __slots__ = ("fn", "args", "claim", "done", "result", "error")
-
-    def __init__(self, fn, *args):
-        self.fn, self.args, self.result, self.error = fn, args, None, None
-        self.claim, self.done = threading.Lock(), threading.Lock()
-        self.done.acquire()
-
-    def try_run(self) -> bool:
-        """Run the task here if no thread has claimed it; True if it ran."""
-        if not self.claim.acquire(blocking=False):
-            return False
-        try:
-            self.result = self.fn(*self.args)
-        except BaseException as exc:
-            self.error = exc
-            raise
-        finally:
-            self.done.release()
-        return True
-
-    def settle(self):
-        """Run the task here if it is unclaimed, else wait until it has run;
-        either way return its result or re-raise what it raised."""
-        if not self.try_run():
-            with self.done:
-                pass
-            if self.error is not None:
-                raise self.error
-        return self.result
+    futures = [pool.submit(*job) for job in reversed(jobs)][::-1]
+    return [claim(fn, args, future) for (fn, *args), future in zip(jobs, futures)]
 
 
 @dataclass(frozen=True)
@@ -239,8 +215,6 @@ class SubspaceBasis:
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return True
-        if self.dim == 0:
-            return nv <= tol
         resid = v - self.basis @ (self.basis.T @ v)
         return np.linalg.norm(resid) <= tol * nv
 

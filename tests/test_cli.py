@@ -262,6 +262,14 @@ class TestErrorStatuses:
         assert capsys.readouterr().err.startswith(
             "sck: input error: tolerances: unknown fields ['rank_tol']")
 
+    def test_explicit_lambda_outside_the_set(self, tmp_path, capsys):
+        raw = {"system": {"matrices": {"A": [[-1, 0], [1, -1]], "B": [[1], [0]],
+                                       "C1": [[0, 0], [-0.2, 1]]}},
+               "lambda_grid": [0.0], "explicit_points": [[5.0, 4.0]]}
+        code, text = run_cli(tmp_path, "check-n2", raw)
+        assert code == 1 and text is None
+        assert "lambda=5.0 is outside the joint-dissipativity set" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, tmp_path):
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps(EXAMPLE2))

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -113,6 +114,17 @@ class TestCheckCondition:
         resid = np.linalg.norm((M.T - p.alpha * np.eye(4)) @ w)
         resid += np.linalg.norm(example2_system().B.T @ w)
         assert resid <= 10 * 1e-9
+
+    def test_explicit_lambda_outside_the_set_rejected(self):
+        # lam = 0 is in the set, lam = 5 is not (margin 4.5): an explicit
+        # point at lam = 5 is held to the same test as a listed lam
+        s = StochasticSystem([[-1.0, 0.0], [1.0, -1.0]], [[1.0], [0.0]],
+                             C1=[[0.0, 0.0], [-0.2, 1.0]])
+        with pytest.raises(DomainError, match=r"^lambda=5\.0 is outside the joint-dissipativity set"):
+            check_condition(s, [0.0], "N2", explicit_points=[(5.0, 4.0)])
+        with pytest.raises(DomainError, match=r"^lambda=5\.0 is outside"):
+            check_condition(s, [5.0], "N2")
+        assert check_condition(s, [], "N1", explicit_points=[(5.0, 4.0)]).points  # lam ignored
 
     def test_full_rank_control_never_violates(self):
         rng = np.random.default_rng(5)
@@ -496,28 +508,37 @@ class TestTwoThreadVerdict:
     def test_claim_winner_moves_no_bit(self, N, monkeypatch):
         me, takers = threading.get_ident(), []
         free = parity_report(N, self.GRID)
-        real_spectrum, real_try_run = controllability._spectrum, systems._Task.try_run
+        real_spectrum, real_offload = controllability._spectrum, controllability._offload
 
         def spectrum(M_T):
             takers.append(threading.get_ident() == me)
             return real_spectrum(M_T)
 
-        def delayed(on_this_thread):
-            """try_run that first sleeps 50 ms on one thread, for a spectrum
-            no thread has claimed."""
-            def try_run(task):
-                if (threading.get_ident() == me) == on_this_thread and task.fn is spectrum \
-                        and not task.claim.locked():
+        class LateHelper(ThreadPoolExecutor):
+            """A helper that sleeps 50 ms before each job."""
+
+            def submit(self, fn, /, *args):
+                super().submit(time.sleep, 0.05)
+                return super().submit(fn, *args)
+
+        def late_offload(pool, jobs):
+            """_offload whose claims first sleep 50 ms."""
+            def late(claim):
+                def run():
                     time.sleep(0.05)
-                return real_try_run(task)
-            return try_run
+                    return claim()
+                return run
+            return [late(c) for c in real_offload(pool, jobs)]
 
         monkeypatch.setattr(controllability, "_spectrum", spectrum)
         runs = {}
         for helper_first in (False, True):
             takers.clear()
             with monkeypatch.context() as m:
-                m.setattr(systems._Task, "try_run", delayed(on_this_thread=helper_first))
+                if helper_first:
+                    m.setattr(controllability, "_offload", late_offload)
+                else:
+                    m.setattr(controllability, "ThreadPoolExecutor", LateHelper)
                 runs[helper_first] = parity_report(N, self.GRID), list(takers)
         spectra = 1 + 3  # A^T and the three accepted (A + lam C)^T
         mine, taken = runs[False]

@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -487,29 +488,38 @@ class TestTwoThreadSweep:
             return [a.tobytes() for a in arrays], list(takers)
 
         free, _ = sweeps()
-        real_product, real_try_run = sde._product, sde._Task.try_run
+        real_product, real_offload = sde._product, sde._offload
 
         def product(M, X, out):
             if any(np.array_equal(M, C) for C in noises):
                 takers.append(threading.get_ident() == me)
             real_product(M, X, out)
 
-        def delayed(on_this_thread):
-            """try_run that first sleeps 20 ms on one thread, for a task no
-            thread has claimed (on this thread: products only)."""
-            def try_run(task):
-                mine = threading.get_ident() == me
-                if (mine == on_this_thread and not task.claim.locked()
-                        and (not mine or task.fn is product)):
+        class LateHelper(ThreadPoolExecutor):
+            """A helper that sleeps 20 ms before each job."""
+
+            def submit(self, fn, /, *args):
+                super().submit(time.sleep, 0.02)
+                return super().submit(fn, *args)
+
+        def late_offload(pool, jobs):
+            """_offload whose claims of products first sleep 20 ms."""
+            def late(claim):
+                def run():
                     time.sleep(0.02)
-                return real_try_run(task)
-            return try_run
+                    return claim()
+                return run
+            claims = real_offload(pool, jobs)
+            return [late(c) for c in claims] if jobs[0][0] is product else claims
 
         monkeypatch.setattr(sde, "_product", product)
         runs = {}
         for helper_first in (False, True):
             with monkeypatch.context() as m:
-                m.setattr(sde._Task, "try_run", delayed(on_this_thread=helper_first))
+                if helper_first:
+                    m.setattr(sde, "_offload", late_offload)
+                else:
+                    m.setattr(sde, "ThreadPoolExecutor", LateHelper)
                 runs[helper_first] = sweeps()
         steps = cfg.n_steps * (1 + 3 + 2)
         mine, taken = runs[False]

@@ -58,6 +58,7 @@ class TestSubspaceBasis:
         assert b.dim == 0
         assert b.contains(np.zeros(3), 1e-9)
         assert not b.contains(np.array([1.0, 0.0, 0.0]), 1e-9)
+        assert not b.contains(np.array([1e-3, 0.0, 0.0]), 1e-2)  # relative, as for dim > 0
 
     def test_orthonormality_enforced(self):
         with pytest.raises(DomainError):
