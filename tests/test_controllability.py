@@ -515,10 +515,11 @@ class TestTwoThreadVerdict:
             return real_spectrum(M_T)
 
         class LateHelper(ThreadPoolExecutor):
-            """A helper that sleeps 50 ms before each job."""
+            """A helper that sleeps 200 ms before each job: the calling
+            thread claims the last spectrum after the sweep and the others."""
 
             def submit(self, fn, /, *args):
-                super().submit(time.sleep, 0.05)
+                super().submit(time.sleep, 0.2)
                 return super().submit(fn, *args)
 
         def late_offload(pool, jobs):
