@@ -551,7 +551,8 @@ class TestTwoThreadVerdict:
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_failure_on_either_thread_unwinds(self, monkeypatch, failing):
         # the sweep waits until the helper has taken a spectrum, so a failing
-        # helper always fails a task that the calling thread then settles
+        # helper always fails a spectrum that the calling thread then claims
+        # and waits for
         boom, me, helper_took = RuntimeError("failed"), threading.get_ident(), threading.Event()
         real_spectrum, real_sweep = controllability._spectrum, controllability.strict_invariant_subspace
 

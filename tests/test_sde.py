@@ -412,7 +412,8 @@ class TestTwoThreadSweep:
     @pytest.mark.parametrize("failing", ["helper", "consumer"])
     def test_failing_product_on_either_thread_unwinds(self, unwound, monkeypatch, failing):
         # the consuming thread starts its first product only once the helper
-        # has taken one, so each thread holds a product the other settles
+        # has taken one, so each thread runs a product: the consumer claims
+        # its own here and waits on the Future of the helper's
         boom, helper_took, consumer = RuntimeError("failed"), threading.Event(), []
         real_product = sde._product
 
