@@ -44,6 +44,7 @@ from .systems import (
     ToleranceConfig,
     _offload,
     _one_blas_thread,
+    as_array,
     lambda_set,
 )
 
@@ -174,15 +175,17 @@ def _spectral_points(M_T: np.ndarray, B_T: np.ndarray, lam: float = 0.0, spectru
     norm_B = np.linalg.norm(B_T, 2)
     out = []
     for members, gap in clusters:
-        cluster, i = ev[members], members[0]
-        alpha = cluster.mean()
-        if cluster.imag.min() <= 0 <= cluster.imag.max():
-            alpha = alpha.real
-        if len(cluster) > 1:
+        if len(members) > 1:
+            cluster = ev[members]
+            alpha = cluster.mean()
+            if cluster.imag.min() <= 0 <= cluster.imag.max():
+                alpha = alpha.real
             sigma, w, scale = _pencil(M_T, B_T, alpha)
             flag = _negligible(sigma - np.abs(cluster - alpha).max(), scale)
-        else:
-            sigma, w = float(np.linalg.norm(B_T @ V[:, i])), V[:, i]
+        else:  # scalars only: numpy reductions cost more than the product here
+            alpha, w = ev[members[0]], V[:, members[0]]
+            alpha = alpha.real if alpha.imag == 0 else alpha
+            sigma = float(np.linalg.norm(B_T @ w))
             flag = _negligible(sigma, norm_B * (1.0 + norm_M / gap))
         out.append((HautusPoint(lam, float(alpha.real), sigma, flag, float(alpha.imag)),
                     w.real))
@@ -243,11 +246,12 @@ def check_condition(
     Raises
     ------
     DomainError
-        For an unknown condition tag, or an N2 lambda, listed or explicit,
-        outside the accepted joint-dissipativity set.
+        For an unknown condition tag, a non-finite explicit point, or an N2
+        lambda, listed or explicit, outside the accepted joint-dissipativity set.
     """
     if condition not in CONDITION_TAGS:
         raise DomainError(f"condition must be one of {CONDITION_TAGS}, got {condition!r}")
+    explicit_points = as_array(explicit_points or np.empty((0, 2)), 2, "explicit_points").tolist()
     B_T = sys.B.T
     if condition == "N1":
         operators = [(0.0, sys.A)]
@@ -257,8 +261,7 @@ def check_condition(
             raise DomainError("N2 requires a non-empty lambda list")
         C = sys.C
         if _spectra is None:  # else verdict has accepted every lambda already
-            explicit = [float(lam) for lam, _ in explicit_points or ()]
-            for pt in lambda_set(sys, lams + explicit, cfg):
+            for pt in lambda_set(sys, lams + [lam for lam, _ in explicit_points], cfg):
                 if not pt.in_set:
                     raise DomainError(
                         f"lambda={pt.lam} is outside the joint-dissipativity set "
@@ -271,10 +274,10 @@ def check_condition(
     found = [(p, w) for (lam, M), spectrum in zip(operators, spectra)
              for p, w in _spectral_points(M.T, B_T, lam, spectrum)
              if p.alpha < 0 and p.alpha_im >= 0]  # one of each conjugate pair
-    for lam, alpha in explicit_points or ():
-        lam, M = (0.0, sys.A) if condition == "N1" else (float(lam), sys.A + float(lam) * sys.C)
-        sigma, w, scale = _pencil(M.T, B_T, float(alpha))
-        found.append((HautusPoint(lam, float(alpha), sigma, _negligible(sigma, scale)), w))
+    for lam, alpha in explicit_points:
+        lam, M = (0.0, sys.A) if condition == "N1" else (lam, sys.A + lam * sys.C)
+        sigma, w, scale = _pencil(M.T, B_T, alpha)
+        found.append((HautusPoint(lam, alpha, sigma, _negligible(sigma, scale)), w))
     found.sort(key=lambda pw: (pw[0].lam, pw[0].alpha, pw[0].alpha_im))
 
     report = HautusReport(condition=condition,
@@ -296,17 +299,16 @@ _SWEEP_TOL = 1e-9
 
 
 def _split(M: np.ndarray, tol: float, scale: Optional[float] = None):
-    """(range basis, null basis) of M from one SVD.
+    """(range basis, null basis, row-space basis) of M from one SVD.
 
-    Singular values at or below tol times ``scale`` (by default the largest
-    singular value) count as zero.  The range basis holds the left singular
-    vectors of the others, the null basis every remaining right singular
-    vector; both are orthonormal.
+    Singular values at or below tol times ``scale`` (default: the largest one)
+    count as zero.  The orthonormal range and row-space bases are the left and
+    right singular vectors of the others, the null basis the remaining right.
     """
     u, s, vh = np.linalg.svd(M)
     threshold = tol * (s.max(initial=0.0) if scale is None else scale)
     rank = int(np.sum(s > threshold))
-    return u[:, :rank], vh[rank:].T
+    return u[:, :rank], vh[rank:].T, vh[:rank].T
 
 
 @_one_blas_thread()
@@ -320,16 +322,26 @@ def strict_invariant_subspace(A, C, B) -> SubspaceBasis:
     trivial subspace (dim 0) is a valid outcome.  Singular values count as
     zero at or below ``_SWEEP_TOL`` times the largest one, and the residual's
     at or below ``_SWEEP_TOL`` times max(||A^T V||_2, 1).
+
+    One-step exit: with Q the basis of Range B from V0's SVD, s = sigma_min of
+    (I - QQ^T) C Q and c^2 = ||C||_1 ||C||_inf, so s <= ||C||_2 <= c, a unit
+    x = Qa + V0 b has |[V0, C^T V0]^T x|^2 >= |b|^2 + (s|a| - c|b|)_+^2 >=
+    s^2 / (1 + s^2 + c^2), and ||[V0, C^T V0]||^2 <= 1 + c^2.  So if s > 2
+    ``_SWEEP_TOL`` (1 + c^2), the first sweep's span is R^n, its residual is
+    round-off, and it keeps V0: V0 returns at once.  C = 0 (s = 0) never exits.
     """
     sys = StochasticSystem(A, B, C=C)
     A, B, C = sys.A, sys.B, sys.C
-    _, V = _split(B.T, _SWEEP_TOL)
+    _, V, Q = _split(B.T, _SWEEP_TOL)
+    s = np.linalg.svd(C @ Q - Q @ (Q.T @ C @ Q), compute_uv=False).min(initial=np.inf)
+    if s > 2 * _SWEEP_TOL * (1.0 + np.linalg.norm(C, 1) * np.linalg.norm(C, np.inf)):
+        return SubspaceBasis(V)
     while V.shape[1] > 0:
-        span, _ = _split(np.hstack([V, C.T @ V]), _SWEEP_TOL)
+        span, _, _ = _split(np.hstack([V, C.T @ V]), _SWEEP_TOL)
         image = A.T @ V
         resid = image - span @ (span.T @ image)
         scale = max(np.linalg.norm(image, 2), 1.0)
-        _, coeff_null = _split(resid / scale, _SWEEP_TOL, 1.0)  # pre-scaled
+        _, coeff_null, _ = _split(resid / scale, _SWEEP_TOL, 1.0)  # pre-scaled
         if coeff_null.shape[1] == V.shape[1]:
             break
         V = V @ coeff_null

@@ -3,7 +3,9 @@
 These deliberately avoid the library's fixed-point and eigenvalue-scan
 implementations: subspace candidates are enumerated from eigenvector
 subsets, operator images and random draws, and membership is decided by
-plain projection residuals.
+plain projection residuals.  The two ``reference_*`` functions instead keep
+the direct form of a library routine that now takes a shortcut, so that the
+shortcut can be compared with it entry by entry or bit for bit.
 """
 
 import itertools
@@ -109,3 +111,42 @@ def check_largest_invariant(A, C, B, returned, rng, n_random=200, tol=1e-7):
         if not subspace_contained(W, V, 1e-6):
             return False, "found strictly invariant candidate not contained in the result"
     return True, ""
+
+
+def reference_divform(N, a_fn, c_fn, b_fn, nodes, weights):
+    """(A, B, C) of the divergence-form Galerkin system from sine and cosine
+    tables of every mode on the quadrature nodes, A symmetrised afterwards:
+    the direct weak-form products, against which the Fourier-moment assembly
+    is checked."""
+    k = np.arange(1, N + 1)[:, None]
+    arg = k * np.pi * nodes[None, :]
+    e, de = np.sqrt(2.0) * np.sin(arg), np.sqrt(2.0) * (k * np.pi) * np.cos(arg)
+    a, c, b = (np.broadcast_to(np.asarray(fn(nodes), dtype=float), nodes.shape)
+               for fn in (a_fn, c_fn, b_fn))
+    A = -(de * (weights * a)) @ de.T
+    C = (e * (weights * c)) @ de.T
+    B = (e @ (weights * b)).reshape(N, 1)
+    return 0.5 * (A + A.T), B, C
+
+
+def reference_sweep(A, C, B, tol=1e-9):
+    """Basis of the largest strictly invariant subspace in Ker B^T by the
+    plain fixed-point sweep from V0 = Ker B^T, with no early exit: the same
+    SVDs, thresholds and products as the library's sweep, so that a shortcut
+    which claims to return the sweep's answer can be compared bit for bit."""
+    def split(M, scale=None):
+        u, s, vh = np.linalg.svd(M)
+        rank = int(np.sum(s > tol * (s.max(initial=0.0) if scale is None else scale)))
+        return u[:, :rank], vh[rank:].T
+
+    A, C, B = (np.array(M, dtype=float) for M in (A, C, B))
+    _, V = split(B.T)
+    while V.shape[1] > 0:
+        span, _ = split(np.hstack([V, C.T @ V]))
+        image = A.T @ V
+        resid = image - span @ (span.T @ image)
+        _, coeff_null = split(resid / max(np.linalg.norm(image, 2), 1.0), 1.0)
+        if coeff_null.shape[1] == V.shape[1]:
+            break
+        V = V @ coeff_null
+    return V

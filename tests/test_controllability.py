@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import check_largest_invariant, random_dissipative_system
+from oracles import check_largest_invariant, random_dissipative_system, reference_sweep
 from sck import (
     HeatSystemSpec,
     StochasticSystem,
@@ -125,6 +125,24 @@ class TestCheckCondition:
         with pytest.raises(DomainError, match=r"^lambda=5\.0 is outside"):
             check_condition(s, [5.0], "N2")
         assert check_condition(s, [], "N1", explicit_points=[(5.0, 4.0)]).points  # lam ignored
+
+    @staticmethod
+    def explicit_system():
+        return StochasticSystem([[-1.0, 0.0], [1.0, -1.0]], [[1.0], [0.0]],
+                                C1=[[0.0, 0.0], [-0.2, 1.0]])
+
+    def test_non_finite_explicit_alpha_rejected(self):
+        # a NaN alpha would reach the pencil's SVD, which does not converge
+        for condition, lams in (("N1", []), ("N2", [0.0])):
+            with pytest.raises(DomainError, match=r"^explicit_points contains non-finite"):
+                check_condition(self.explicit_system(), lams, condition,
+                                explicit_points=[(0.0, -1.0), (0.0, np.nan)])
+
+    def test_non_finite_explicit_lambda_rejected(self):
+        # named as what it is, not as an entry of the lambda grid
+        with pytest.raises(DomainError, match=r"^explicit_points contains non-finite"):
+            check_condition(self.explicit_system(), [0.0], "N2",
+                            explicit_points=[(np.nan, -1.0)])
 
     def test_full_rank_control_never_violates(self):
         rng = np.random.default_rng(5)
@@ -666,6 +684,44 @@ class TestStrictInvariantSubspace:
         s = parity_system(N)
         assert strict_invariant_subspace(s.A, s.C, s.B).dim == N - 1
 
+    @staticmethod
+    def assert_sweep_bits(A, C, B):
+        """The result is the plain sweep's basis, bit for bit, whether or not
+        the one-step exit is taken."""
+        V = strict_invariant_subspace(A, C, B).basis
+        with systems._one_blas_thread():
+            ref = reference_sweep(A, C, B)
+        assert V.shape == ref.shape and np.array_equal(V, ref)
+
+    @pytest.mark.parametrize("N", [16, 128])
+    def test_exit_keeps_the_sweep_bits_on_the_parity_system(self, N):
+        s = parity_system(N)
+        self.assert_sweep_bits(s.A, s.C, s.B)
+
+    def test_weak_coupling_keeps_the_sweep_bits(self):
+        A = np.array([[-3.0, 0.0, 0.0], [1e-7, -1.0, 0.0], [0.0, 0.0, -2.0]])
+        self.assert_sweep_bits(A, np.zeros((3, 3)), np.eye(3)[:, :1])
+
+    @pytest.mark.parametrize("decades", [1, -1])
+    def test_planted_coupling_a_decade_from_the_exit(self, decades):
+        # m = 2 with Range B = span{e1, e2}: C maps Range B out of itself only
+        # through C[2:, :2] = eps G, G with orthonormal columns, so the exit's
+        # sigma_min((I - QQ^T) C Q) is eps; plant eps a decade above or below
+        # its threshold 2e-9 (1 + ||C||_1 ||C||_inf)
+        rng = np.random.default_rng(11)
+        n = 6
+        A, _, C = random_dissipative_system(rng, n, m=2)
+        B = np.eye(n)[:, :2]
+        C[2:, :2] = 0.0
+        threshold = 2e-9 * (1.0 + np.linalg.norm(C, 1) * np.linalg.norm(C, np.inf))
+        C[2:, :2] = 10.0 ** decades * threshold * np.linalg.qr(rng.standard_normal((n - 2, 2)))[0]
+        s = np.linalg.svd(C[2:, :2], compute_uv=False).min()
+        threshold = 2e-9 * (1.0 + np.linalg.norm(C, 1) * np.linalg.norm(C, np.inf))
+        assert s / threshold == pytest.approx(10.0 ** decades, rel=1e-6)
+        self.assert_sweep_bits(A, C, B)
+        if decades > 0:  # the exit's answer: Ker B^T itself
+            assert strict_invariant_subspace(A, C, B).dim == n - 2
+
     def test_weak_coupling_is_resolved(self):
         # A^T e2 = -e2 + 1e-7 e1 has a part outside Ker B^T = span{e2, e3},
         # so only span{e3} is strictly invariant; a sweep threshold of 1e-7
@@ -709,6 +765,7 @@ class TestStrictInvariantSubspace:
             V = strict_invariant_subspace(A, C, B)
             ok, msg = check_largest_invariant(A, C, B, V, rng, n_random=100)
             assert ok, f"corpus item {k}: {msg}"
+            self.assert_sweep_bits(A, C, B)  # with or without the one-step exit
 
 
 class TestCommutingCase:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import reference_divform
 from sck import (
     HeatSystemSpec,
     assemble_divform_1d,
@@ -138,6 +139,33 @@ class TestAssembleDivform:
                               polynomial([0.0, 1.0, -1.0]))
         s = assemble_divform_1d(spec)
         assert np.array_equal(s.A, s.A.T)
+
+    # (a, c, b) per coefficient kind; the last c returns a bare number, which
+    # the assembly broadcasts over the nodes
+    KINDS = {
+        "constant": (constant(2.0), constant(0.4), constant(1.0)),
+        "polynomial": (polynomial([1.0, 0.3, -0.2]), polynomial([0.1, -0.5, 0.7]),
+                       polynomial([0.2, 1.0, 0.5, -0.3])),
+        "trigonometric": (trigonometric(1.5, [0.3, 0.1], [0.2, -0.1, 0.05]),
+                          trigonometric(0.1, [0.2], [0.3, 0.1]),
+                          trigonometric(0.0, [1.0, 0.5], [0.3])),
+        "bare-number-c": (constant(1.0), lambda x: 0.25, polynomial([0.0, 1.0])),
+    }
+
+    @pytest.mark.parametrize("N", [16, 128, 512])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_matches_sine_table_reference(self, N, kind):
+        # the Fourier-moment entries against the direct weak-form products on
+        # the same quadrature nodes: they differ by round-off only
+        spec = HeatSystemSpec(N, *self.KINDS[kind])
+        s = assemble_divform_1d(spec)
+        A, B, C = reference_divform(N, spec.a_fn, spec.c_fn, spec.b_fn,
+                                    *composite_gauss(spec.quad_order))
+        for got, ref in ((s.A, A), (s.B, B), (s.C1, C)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(s.A, s.A.T)
+        assert not s.C2.any()
 
     def test_zero_control_shape(self):
         spec = HeatSystemSpec(N=4, a_fn=constant(1.0), c_fn=constant(0.0),

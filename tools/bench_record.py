@@ -4,12 +4,14 @@
 
 Each NAME=REV argument is exported with ``git archive`` into a fresh
 directory, and that checkout's own ``perfbench/run.py --trace 0`` runs every
-workload of this repo's BENCHMARK.json for its ``run_seconds``, the
-checkouts taking turns within each workload.  The record
+workload of this repo's BENCHMARK.json.  Each workload's ``run_seconds`` is
+split into two half-length runs per checkout, taken in mirrored order
+(A B B A for two checkouts), so that a host that drifts during the workload
+weighs on every checkout alike.  The record
 ``.perfbench_out/<workload>-seed<n>-trace0.json`` of every run is read back,
 and BENCH_<label>.json at the repo root gets, per NAME, the commit, the
-environment record and every end-to-end metric's median and quartiles.
-Exits 1 when any run fails its oracles.
+environment record and every end-to-end metric's median and quartiles over
+the pooled samples of both halves.  Exits 1 when any run fails its oracles.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -53,9 +56,24 @@ def run_workload(checkout: str, workload: str, seed: int, seconds: float) -> dic
         "attempted": len(record["ops"]),
         "failed": record["failed"],
         "errors": errors,
-        "metrics": {name: {k: m[k] for k in ("median", "p25", "p75", "n", "unit")}
+        "metrics": {name: {k: m[k] for k in ("samples", "unit")}
                     for name, m in record["metrics"].items()},
     }
+
+
+def pooled(runs: list[dict]) -> dict:
+    """One revision's runs of one workload as one result: ops and errors
+    summed, and each metric's samples pooled into one median and quartiles,
+    computed as perfbench's own summary computes them."""
+    metrics = {}
+    for name, m in runs[0]["metrics"].items():
+        values = [v for r in runs for v in r["metrics"][name]["samples"]]
+        q = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+        metrics[name] = {"median": statistics.median(values), "p25": q[0], "p75": q[2],
+                         "n": len(values), "unit": m["unit"]}
+    return {"attempted": sum(r["attempted"] for r in runs),
+            "failed": sum(r["failed"] for r in runs),
+            "errors": [e for r in runs for e in r["errors"]], "metrics": metrics}
 
 
 def main() -> int:
@@ -79,15 +97,18 @@ def main() -> int:
             records[name] = {"rev": rev, "commit": export(rev, checkouts[name]),
                              "env": None, "workloads": {}}
         for workload in (w["name"] for w in spec["workloads"]):
-            for name, checkout in checkouts.items():
-                result = run_workload(checkout, workload, args.seed, seconds)
+            runs = {name: [] for name in checkouts}
+            for name in list(checkouts) + list(checkouts)[::-1]:
+                result = run_workload(checkouts[name], workload, args.seed, seconds / 2)
                 env = result.pop("env")
                 env.pop("git_commit", None)  # an exported tree has no git history
                 records[name]["env"] = records[name]["env"] or env
-                records[name]["workloads"][workload] = result
+                runs[name].append(result)
                 print(f"{name:10s} {workload:18s} warm_op_s "
-                      f"{result['metrics']['warm_op_s']['median']:.4g} s "
+                      f"{statistics.median(result['metrics']['warm_op_s']['samples']):.4g} s "
                       f"failed {result['failed']}", flush=True)
+            for name, results in runs.items():
+                records[name]["workloads"][workload] = pooled(results)
 
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w", encoding="utf-8") as fh:

@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 
 
 _CC = "tests/test_controllability.py::"
+_GA = "tests/test_galerkin.py::TestAssembleDivform::"
 MUTANTS = [
     Mutant("roundoff-1024eps", "src/sck/controllability.py",
            "_ROUNDOFF = 16 * np.finfo(float).eps", "_ROUNDOFF = 1024 * np.finfo(float).eps",
@@ -46,9 +47,15 @@ MUTANTS = [
            "_SWEEP_TOL = 1e-9", "_SWEEP_TOL = 1e-7", (_CC + "TestStrictInvariantSubspace",)),
     Mutant("sweep-tol-1e-5", "src/sck/controllability.py",
            "_SWEEP_TOL = 1e-9", "_SWEEP_TOL = 1e-5", (_CC + "TestStrictInvariantSubspace",)),
-    Mutant("galerkin-unsymmetrised", "src/sck/galerkin.py",
-           "    A = 0.5 * (A + A.T)  # exact form is symmetric; remove quadrature asymmetry\n", "",
-           ("tests/test_galerkin.py::TestAssembleDivform::test_drift_is_exactly_symmetric",)),
+    Mutant("galerkin-cosine-sum-sign", "src/sck/galerkin.py",
+           "alpha.real[d] + alpha.real[t]", "alpha.real[d] - alpha.real[t]",
+           (_GA + "test_matches_sine_table_reference",)),
+    Mutant("galerkin-noise-sign-dropped", "src/sck/galerkin.py",
+           "s.imag[t] + np.sign(j - k) * s.imag[d]", "s.imag[t] + s.imag[d]",
+           (_GA + "test_matches_sine_table_reference",)),
+    Mutant("sweep-exit-always", "src/sck/controllability.py",
+           "if s > 2 * _SWEEP_TOL * (1.0 + np.linalg.norm(C, 1) * np.linalg.norm(C, np.inf)):",
+           "if V.shape[1] > 0:", (_CC + "TestStrictInvariantSubspace",)),
     Mutant("z-max-400", "src/sck/bsde.py", "_Z_MAX = 4.0", "_Z_MAX = 400.0",
            ("tests/test_bsde.py::TestDualityCheck",)),
     # the duality gates catch the slip only when the helper has not yet drawn
@@ -66,7 +73,8 @@ MUTANTS = [
            "        if self.dim == 0:\n            return nv <= tol\n",
            ("tests/test_systems.py::TestSubspaceBasis::test_trivial_subspace",)),
     Mutant("explicit-lambda-unchecked", "src/sck/controllability.py",
-           "lambda_set(sys, lams + explicit, cfg)", "lambda_set(sys, lams, cfg)",
+           "lambda_set(sys, lams + [lam for lam, _ in explicit_points], cfg)",
+           "lambda_set(sys, lams, cfg)",
            (_CC + "TestCheckCondition", "tests/test_cli.py::TestErrorStatuses")),
 ]
 
