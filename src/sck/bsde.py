@@ -281,8 +281,12 @@ def duality_check(
     rhs = <x0, y_0(0)> + sum_{k,j} <row_j(k), y_j(k+1)>.  Both gates are
     ``_negligible`` on K S, with S the sum of |a| |b| over every product
     summed on either side: |lhs - rhs| (the theorem), and |lhs_mc - lhs|
-    less _Z_MAX = 4 standard errors (the simulator).  Y_T is read on the
-    sweep's own noise; no matrix exponential is taken.
+    less _Z_MAX = 4 standard errors (the simulator).  Y_T pairs with the
+    sweep's paths, but a ``linear_in_wt`` terminal's W_T is drawn a second
+    time, all K steps, by solve_dual_bsde's ``_brownian_at``: the same
+    values, drawn twice.  Summing W_T in the sweep would drop that pass
+    (ROADMAP item 12, blocked on item 9's ``bsde.solve_dual_bsde`` seam).
+    No matrix exponential is taken.
     """
     sweep = _forward_sweep(sys, x0, control, cfg)  # checks inputs before the solve
     sol = solve_dual_bsde(sys, terminal, cfg, 2)

@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,22 +45,6 @@ _APRIORI_SAMPLE = ("sample_index", "xi_mean_square", "sup_mean_y_square",
                    "int_mean_z_square", "ratio")
 _CONVERGENCE_ROW = ("nres", "delta", "err_yosida", "err_mollifier", "err_total", "err_bsde")
 _ATTRIBUTE = {"lambda": "lam", "sample_index": "index"}
-
-
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def _fields(obj, *names: str) -> dict:
@@ -228,8 +212,8 @@ def _convergence(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# CSV tables: each rows(payload) flattens a JSON-ready payload into
-# (header, rows)
+# CSV tables: each rows(payload) flattens a payload, as run returns it or as
+# its JSON report reads back, into (header, rows)
 
 def _key_value(*keys: str):
     return lambda payload: (["key", "value"], [[k, payload[k]] for k in keys])
@@ -304,6 +288,8 @@ def payload_rows(subcommand: str, payload: dict) -> tuple[list[str], list[list]]
 
 
 def _csv_cell(v) -> str:
+    if isinstance(v, np.generic):
+        v = v.item()
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -324,7 +310,8 @@ def render_csv(subcommand: str, payload: dict) -> str:
 
 
 def render_json(report: dict) -> str:
-    """``json.dumps(report, indent=2, allow_nan=False) + "\\n"``, byte for byte.
+    """``json.dumps(report, indent=2, allow_nan=False) + "\\n"``, byte for byte,
+    with each numpy array or scalar written as its ``tolist()``.
 
     ``indent`` rules out json's C encoder, and its Python one takes one
     generator step per value; here each list of floats, most of a report,
@@ -336,7 +323,8 @@ def _json(obj, nl: str) -> str:
     """obj as json.dumps(obj, indent=2, allow_nan=False) writes it at the
     depth whose line break and indent are ``nl``.  Whatever is not a
     non-empty list, a non-empty dict with str keys or a plain scalar goes to
-    json itself; its only raw line breaks are those of its layout."""
+    json itself, a numpy value as its tolist(); json's only raw line breaks
+    are those of its layout."""
     inner = nl + "  "
     if type(obj) is list and obj:
         if type(obj[0]) is float:
@@ -358,6 +346,8 @@ def _json(obj, nl: str) -> str:
         return "null" if obj is None else "true" if obj else "false"
     if type(obj) is int or (type(obj) is float and math.isfinite(obj)):
         return repr(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _json(obj.tolist(), nl)
     return json.dumps(obj, indent=2, allow_nan=False).replace("\n", nl)
 
 
@@ -370,7 +360,7 @@ def build_report(subcommand: str, cfg: RunConfig, payload: dict,
         "threads": threads,
         "duration_seconds": duration,
         "config": cfg.resolved,
-        "payload": _jsonable(payload),
+        "payload": payload,
     }
 
 
@@ -442,7 +432,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         duration = time.perf_counter() - start
 
         if cfg.format == "csv":
-            text = render_csv(args.subcommand, _jsonable(payload))
+            text = render_csv(args.subcommand, payload)
         else:
             text = render_json(build_report(args.subcommand, cfg, payload, duration, threads))
         try:

@@ -26,7 +26,10 @@ helper has not begun.
 Every public function, and so every span a tracer wraps around one, runs
 on the calling thread; the helper runs only ``_spectrum``.  Each job runs
 whole on one OpenBLAS thread, so the report does not depend on which
-thread ran it.
+thread ran it.  The sweep, which exits after one step when C moves no
+direction of Range B into Range B, is short (0.4 ms at the N = 128 parity
+system), so the helper's gain is two spectra computed at once: on a 2-vCPU
+VM, ``verdict`` there takes 29-42 ms with it and 44-49 ms without.
 """
 
 from __future__ import annotations
@@ -429,8 +432,9 @@ def verdict(
     rejected grid values are simply dropped here, while calling
     :func:`check_condition` directly with a rejected value raises.  The set
     is decided once.  A one-worker ``ThreadPoolExecutor`` computes the
-    spectra of A^T and of each accepted (A + lam C)^T beside the subspace
-    sweep; the scans then claim them here, as the module docstring says.
+    spectra of A^T and of each accepted (A + lam C)^T beside the short
+    subspace sweep and the scans, which claim them here: two spectra are
+    computed at once, as the module docstring says.
     """
     lambdas = [float(l) for l in lambdas]
     accepted = [p.lam for p in lambda_set(sys, lambdas, cfg) if p.in_set] if lambdas else []

@@ -513,6 +513,12 @@ class TestCsvAndParity:
         assert render_csv(sub, payload) == text_c
         assert text_c.splitlines()[0] == CSV_HEADERS[sub]
 
+    def test_numpy_scalar_cells(self):
+        payload = {"ok": np.bool_(True), "min_margin": np.float64(0.1), "alpha": np.float64(0.6),
+                   "grid_points": np.int64(200)}
+        assert render_csv("ellipticity", payload) == (
+            "key,value\nok,true\nmin_margin,0.1\nalpha,0.6\ngrid_points,200\n")
+
     def test_every_subcommand_has_a_pinned_header(self):
         assert set(CSV_HEADERS) == set(SUBCOMMANDS)
 
@@ -529,11 +535,12 @@ class TestCsvAndParity:
 
 class TestRenderJson:
     """render_json writes the bytes of json.dumps(report, indent=2,
-    allow_nan=False) + newline, the reference kept here."""
+    allow_nan=False) + newline, numpy leaves as their tolist(), the
+    reference kept here."""
 
     @staticmethod
     def reference(report):
-        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+        return json.dumps(report, indent=2, allow_nan=False, default=lambda o: o.tolist()) + "\n"
 
     @pytest.mark.parametrize("sub,extra", EVERY_SUBCOMMAND + [
         ("verdict", {"system": {"divform1d": {
@@ -559,12 +566,25 @@ class TestRenderJson:
         }
         assert render_json(report) == self.reference(report)
 
+    def test_numpy_leaves(self):
+        report = {
+            "bool": np.bool_(True), "int": np.int64(-3), "float": np.float64(0.1),
+            "zero_d": np.array(2.5), "vector": np.array([0.5, -1.0, 1e-300]),
+            "matrix": np.arange(6.0).reshape(2, 3), "empty": np.zeros(0),
+            "list": [np.float64(1.5), 2.5, np.array([1.0]), {"b": np.bool_(False)}],
+            "dict": {"rows": [np.zeros((0, 2)), np.int64(7), [np.float64(-0.0)]]},
+        }
+        assert render_json(report) == self.reference(report)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("where", ["list", "mixed", "scalar"])
+    @pytest.mark.parametrize("where", ["list", "mixed", "scalar", "array", "numpy-scalar"])
     def test_non_finite_float_is_exit_1(self, tmp_path, capsys, monkeypatch, bad, where):
-        value = {"list": [1.0, bad], "mixed": [1, bad], "scalar": bad}[where]
+        value = {"list": [1.0, bad], "mixed": [1, bad], "scalar": bad,
+                 "array": np.array([1.0, bad]), "numpy-scalar": np.float64(bad)}[where]
+        # the report holds a numpy value as its tolist(), so json's message names that
+        plain = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
         with pytest.raises(ValueError) as stdlib:
-            self.reference({"payload": {"x": value}})
+            self.reference({"payload": {"x": plain}})
         monkeypatch.setitem(COMMANDS, "assemble", (lambda cfg: {"x": value}, None))
         code, text = run_cli(tmp_path, "assemble", EXAMPLE2)
         assert code == 1 and text is None

@@ -514,11 +514,13 @@ def parity_report(N, grid) -> str:
         "N": N, "a": {"type": "trigonometric", "offset": 1.0, "sin": [0.5]},
         "c": {"type": "trigonometric", "cos": [0.3]},
         "b": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]}}}, "lambda_grid": grid}
-    return cli.render_json(cli._jsonable(cli.run_subcommand("verdict", parse_run_config(raw))))
+    return cli.render_json(cli.run_subcommand("verdict", parse_run_config(raw)))
 
 
 class TestTwoThreadVerdict:
-    """verdict's spectra run on a helper thread beside the subspace sweep."""
+    """verdict's spectra run on a helper thread beside the subspace sweep and
+    the scans' claims; the sweep is short, so the helper's gain is two
+    spectra computed at once."""
 
     GRID = [-1.0, 0.5, 40.0, 1.5]  # 40 is outside the joint-dissipativity set
 

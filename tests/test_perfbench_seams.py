@@ -15,13 +15,14 @@ imported from their files and not modified.
 """
 
 import importlib.util
+import json
 import os
 import threading
 
 import pytest
 
 from sck import bsde, controllability
-from sck.cli import _jsonable, run_subcommand
+from sck.cli import render_json, run_subcommand
 from sck.config import parse_run_config
 from sck.exceptions import DomainError
 
@@ -56,7 +57,7 @@ def counting(monkeypatch, module, name) -> list:
 
 def run_companion(workloads, subcommand):
     sub, raw, oracle = next(c for c in workloads.companions() if c[0] == subcommand)
-    payload = _jsonable(run_subcommand(sub, parse_run_config(raw)))
+    payload = json.loads(render_json(run_subcommand(sub, parse_run_config(raw))))
     assert oracle(raw, payload)[0] == []
 
 

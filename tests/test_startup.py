@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sck.cli import _jsonable, run_subcommand
+from sck.cli import render_json, run_subcommand
 from sck.config import parse_run_config
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -87,7 +87,7 @@ def test_convergence_in_a_fresh_process(tmp_path):
     args = cli_args(tmp_path, "convergence", config)
     assert fresh(FIRST_RUN, *args)[0] == 0
     payload = json.loads((tmp_path / "out.json").read_text())["payload"]
-    assert payload == _jsonable(run_subcommand("convergence", parse_run_config(config)))
+    assert payload == json.loads(render_json(run_subcommand("convergence", parse_run_config(config))))
 
 
 def test_semigroup_apply_in_a_fresh_process():

@@ -5,13 +5,13 @@
 Each NAME=REV argument is exported with ``git archive`` into a fresh
 directory, and that checkout's own ``perfbench/run.py --trace 0`` runs every
 workload of this repo's BENCHMARK.json.  Each workload's ``run_seconds`` is
-split into two half-length runs per checkout, taken in mirrored order
-(A B B A for two checkouts), so that a host that drifts during the workload
-weighs on every checkout alike.  The record
-``.perfbench_out/<workload>-seed<n>-trace0.json`` of every run is read back,
-and BENCH_<label>.json at the repo root gets, per NAME, the commit, the
+split into four quarter-length runs per checkout, taken in mirrored order
+(A B B A B A A B for two checkouts), so that a host that drifts during the
+workload, even within a few seconds, weighs on every checkout alike.  The
+record ``.perfbench_out/<workload>-seed<n>-trace0.json`` of every run is read
+back, and BENCH_<label>.json at the repo root gets, per NAME, the commit, the
 environment record and every end-to-end metric's median and quartiles over
-the pooled samples of both halves.  Exits 1 when any run fails its oracles.
+the pooled samples of all four runs.  Exits 1 when any run fails its oracles.
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ def main() -> int:
                              "env": None, "workloads": {}}
         for workload in (w["name"] for w in spec["workloads"]):
             runs = {name: [] for name in checkouts}
-            for name in list(checkouts) + list(checkouts)[::-1]:
-                result = run_workload(checkouts[name], workload, args.seed, seconds / 2)
+            order = list(checkouts)
+            for name in order + order[::-1] + order[::-1] + order:
+                result = run_workload(checkouts[name], workload, args.seed, seconds / 4)
                 env = result.pop("env")
                 env.pop("git_commit", None)  # an exported tree has no git history
                 records[name]["env"] = records[name]["env"] or env

@@ -35,6 +35,7 @@ class Mutant(NamedTuple):
 
 
 _CC = "tests/test_controllability.py::"
+_DC = ("tests/test_bsde.py::TestDualityCheck",)
 _GA = "tests/test_galerkin.py::TestAssembleDivform::"
 MUTANTS = [
     Mutant("roundoff-1024eps", "src/sck/controllability.py",
@@ -56,8 +57,20 @@ MUTANTS = [
     Mutant("sweep-exit-always", "src/sck/controllability.py",
            "if s > 2 * _SWEEP_TOL * (1.0 + np.linalg.norm(C, 1) * np.linalg.norm(C, np.inf)):",
            "if V.shape[1] > 0:", (_CC + "TestStrictInvariantSubspace",)),
-    Mutant("z-max-400", "src/sck/bsde.py", "_Z_MAX = 4.0", "_Z_MAX = 400.0",
-           ("tests/test_bsde.py::TestDualityCheck",)),
+    Mutant("z-max-400", "src/sck/bsde.py", "_Z_MAX = 4.0", "_Z_MAX = 400.0", _DC),
+    # the six duality mutants: each side of the exact gate, and the simulator's Y_T
+    Mutant("dual-drift-untransposed", "src/sck/bsde.py",
+           "out[k] = out[k + 1] @ F", "out[k] = out[k + 1] @ F.T", _DC),
+    Mutant("dual-lift-drops-c", "src/sck/bsde.py",
+           "(out[k + 1, 1:] @ C)", "(out[k + 1, 1:] @ (0 * C))", _DC),
+    Mutant("dual-lift-shifted-dt", "src/sck/bsde.py",
+           "np.arange(1, len(y))", "np.arange(2, len(y) + 1)", _DC),
+    Mutant("moments-lift-drops-c", "src/sck/bsde.py",
+           "(M[k, :-1] @ C.T)", "(M[k, :-1] @ (0 * C.T))", _DC),
+    Mutant("feedback-rows-dropped", "src/sck/bsde.py",
+           "np.ravel(rows * y[1:, :rows.shape[1]])", "np.ravel(rows[:, :1] * y[1:, :1])", _DC),
+    Mutant("terminal-scaled", "src/sck/bsde.py",
+           'np.einsum("pi,pi->p", X, sol.Y[-1])', 'np.einsum("pi,pi->p", X, 1.05 * sol.Y[-1])', _DC),
     # the duality gates catch the slip only when the helper has not yet drawn
     # dW_{k+1}; the row-vector reference catches it whenever it happens
     Mutant("noise-ring-slip", "src/sck/sde.py", "dw = dws[k % 3]", "dw = dws[(k + 1) % 3]",
