@@ -24,7 +24,7 @@ Hermite martingales: Nualart, The Malliavin Calculus and Related Topics, ch. 1.)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Optional, Sequence, Union
 
@@ -72,9 +72,6 @@ class DeterministicTerminal:
     def __post_init__(self):
         object.__setattr__(self, "xi", as_array(self.xi, 1, "xi"))
 
-    def scaled(self, c: float) -> "DeterministicTerminal":
-        return DeterministicTerminal(c * self.xi)
-
 
 @dataclass(frozen=True)
 class LinearInWTTerminal:
@@ -91,21 +88,17 @@ class LinearInWTTerminal:
         object.__setattr__(self, "xi0", xi0)
         object.__setattr__(self, "xi1", xi1)
 
-    def scaled(self, c: float) -> "LinearInWTTerminal":
-        return LinearInWTTerminal(c * self.xi0, c * self.xi1)
-
 
 Terminal = Union[DeterministicTerminal, LinearInWTTerminal]
 
 
 def _hermite_terminal(terminal: Terminal) -> np.ndarray:
     """Coefficients of Y_T on (H_0, H_1)(W_T, T) = (1, W_T), one row per
-    degree: shape (1, n) for a deterministic terminal, (2, n) for a linear one."""
-    if isinstance(terminal, DeterministicTerminal):
-        return terminal.xi[None, :]
-    if isinstance(terminal, LinearInWTTerminal):
-        return np.stack([terminal.xi0, terminal.xi1])
-    raise DomainError(f"unsupported terminal specification: {terminal!r}")
+    degree: a terminal's fields, in order, are its Hermite rows, so the shape
+    is (1, n) for a deterministic terminal and (2, n) for a linear one."""
+    if not isinstance(terminal, Terminal):
+        raise DomainError(f"unsupported terminal specification: {terminal!r}")
+    return np.stack(list(vars(terminal).values()))
 
 
 @dataclass
@@ -188,11 +181,6 @@ def _semigroup(M: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
     return [_expm(t * M) for t in times]
 
 
-def _closed_form(M: np.ndarray, xi: np.ndarray, remaining: np.ndarray) -> np.ndarray:
-    """exp(s M) xi for each s in ``remaining``, stacked."""
-    return np.stack([E @ xi for E in _semigroup(M, remaining)])
-
-
 def solve_dual_bsde(
     sys: StochasticSystem,
     terminal: Terminal,
@@ -214,7 +202,7 @@ def solve_dual_bsde(
     shape = (len(steps), cfg.n_paths, sys.n)
     if coef.shape[1] == 1:
         Y = np.broadcast_to(coef[steps, 0][:, None], shape)
-        exact = partial(_closed_form, sys.A.T, terminal.xi, cfg.T - times)
+        exact = lambda: np.stack([E @ terminal.xi for E in _semigroup(sys.A.T, cfg.T - times)])
         return BsdeSolution(times=times, Y=Y, Z=np.broadcast_to(0.0, shape),
                             terminal=terminal, w=None, coef=coef, _y_exact=exact)
     w = _brownian_at(cfg, steps)
@@ -470,6 +458,7 @@ def approximation_convergence(
         raise DomainError("n_list entries must be >= 1")
     if any(d <= 0 for d in delta_list):
         raise DomainError("delta_list entries must be positive")
+    lam = float(as_array(lam, 0, "lam"))
 
     A, C = sys.A, sys.C
     times = np.linspace(0.0, cfg.T, 21)

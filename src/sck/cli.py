@@ -70,7 +70,7 @@ def _terminal_samples(cfg: RunConfig):
     if cfg.apriori["terminals"]:
         return cfg.apriori["terminals"]
     base = cfg.require("terminal")
-    return [base.scaled(c) for c in (1.0, 2.0, 4.0, 8.0, 16.0)]
+    return [type(base)(*(c * v for v in vars(base).values())) for c in (1.0, 2.0, 4.0, 8.0, 16.0)]
 
 
 # shape of each configured array by field name: system sizes n, m and steps K
@@ -100,7 +100,7 @@ def _simulation(cfg: RunConfig, rows: bool = True):
 
 def _hautus(system, grid, condition: str, cfg: RunConfig) -> dict:
     return _hautus_payload(controllability.check_condition(
-        system, grid, condition, cfg.tolerances, explicit_points=cfg.explicit_points or None
+        system, grid, condition, cfg.tolerances, explicit_points=cfg.explicit_points
     ))
 
 

@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DimensionError, DomainError
 from .systems import (
     StochasticSystem,
     SubspaceBasis,
@@ -210,9 +210,12 @@ def kalman_hautus_rank(A, B, s_samples: Sequence[complex] = ()) -> tuple[bool, f
     """
     sys = StochasticSystem(A, B)
     A, B = sys.A, sys.B
+    s_samples = [complex(s) for s in s_samples]
+    if not np.all(np.isfinite(s_samples)):
+        raise DomainError("s_samples contains non-finite entries")
     found = [(p.sigma_min, p.violated) for p, _ in _spectral_points(A.T, B.T)]
     for s in s_samples:
-        sigma, _, scale = _pencil(A.T, B.T, complex(s))
+        sigma, _, scale = _pencil(A.T, B.T, s)
         found.append((sigma, _negligible(sigma, scale)))
     return not any(v for _, v in found), min((s for s, _ in found), default=float("inf"))
 
@@ -251,10 +254,17 @@ def check_condition(
     DomainError
         For an unknown condition tag, a non-finite explicit point, or an N2
         lambda, listed or explicit, outside the accepted joint-dissipativity set.
+    DimensionError
+        For explicit points that are not (lam, alpha) pairs.
     """
     if condition not in CONDITION_TAGS:
         raise DomainError(f"condition must be one of {CONDITION_TAGS}, got {condition!r}")
-    explicit_points = as_array(explicit_points or np.empty((0, 2)), 2, "explicit_points").tolist()
+    if explicit_points is None or len(explicit_points) == 0:
+        explicit_points = np.empty((0, 2))
+    explicit_points = as_array(explicit_points, 2, "explicit_points")
+    if explicit_points.shape[1] != 2:
+        raise DimensionError(f"explicit_points must have shape (k, 2), got {explicit_points.shape}")
+    explicit_points = explicit_points.tolist()
     B_T = sys.B.T
     if condition == "N1":
         operators = [(0.0, sys.A)]

@@ -10,7 +10,7 @@ a(x), first-order noise coefficient c(x) and scalar control shape b(x).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -43,16 +43,8 @@ def constant(value: float) -> Callable[[np.ndarray], np.ndarray]:
 
 def polynomial(coeffs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
     """Polynomial coefficient c0 + c1 x + c2 x^2 + ..."""
-    coeffs = [float(c) for c in coeffs]
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for c in reversed(coeffs):
-            out = out * x + c
-        return out
-
-    return f
+    coeffs = [float(c) for c in reversed(coeffs)]
+    return lambda x: np.polyval(coeffs, np.asarray(x, dtype=float))
 
 
 def trigonometric(
@@ -68,10 +60,9 @@ def trigonometric(
     def f(x):
         x = np.asarray(x, dtype=float)
         out = np.full_like(x, offset)
-        for j, c in enumerate(sin_coeffs, start=1):
-            out += c * np.sin(j * np.pi * x)
-        for j, c in enumerate(cos_coeffs, start=1):
-            out += c * np.cos(j * np.pi * x)
+        for wave, coeffs in ((np.sin, sin_coeffs), (np.cos, cos_coeffs)):
+            for j, c in enumerate(coeffs, start=1):
+                out += c * wave(j * np.pi * x)
         return out
 
     return f
@@ -87,19 +78,19 @@ class HeatSystemSpec:
     b_fn       control shape on (0, 1)
     quad_order panel count of the composite rule of 8-node Gauss panels.
                Must be >= 2N, to resolve moments up to frequency 2N below
-               1e-10 for smooth coefficients.  Defaults to max(2N, 16).
+               1e-10 for smooth coefficients.  None takes max(2N, 16).
     """
 
     N: int
     a_fn: Callable[[np.ndarray], np.ndarray]
     c_fn: Callable[[np.ndarray], np.ndarray]
     b_fn: Callable[[np.ndarray], np.ndarray]
-    quad_order: int = 0
+    quad_order: Optional[int] = None
 
     def __post_init__(self):
         if self.N < 2:
             raise DomainError(f"N must be >= 2, got {self.N}")
-        if self.quad_order == 0:
+        if self.quad_order is None:
             self.quad_order = max(2 * self.N, 16)
         if self.quad_order < 2 * self.N:
             raise DomainError(
@@ -232,6 +223,7 @@ class ModeCoefficient:
     near_zero: bool
 
 
+@_one_blas_thread()
 def b_coefficient_test(sys: StochasticSystem) -> list[ModeCoefficient]:
     """Project B onto the eigenbasis of a self-adjoint drift operator.
 

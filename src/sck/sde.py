@@ -95,6 +95,9 @@ class SimConfig:
             raise DomainError(f"T/dt = {ratio!r} is not an integer")
         if round(ratio) < 1:
             raise DomainError(f"T = {self.T!r} is shorter than one step dt = {self.dt!r}")
+        for name in ("n_paths", "seed", "regression_degree"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_paths < 2:
             raise DomainError("n_paths must be >= 2")
         if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
@@ -442,7 +445,7 @@ def girsanov_check(
     decays with dt at the strong Euler rate.  At lam = 0 both recursions are
     identical and the error is exactly zero.
     """
-    lam = float(lam)
+    lam = float(as_array(lam, 0, "lam"))
     x0 = _initial_state(x0, sys)
     dts = [float(d) for d in dt_list]
     if not dts:

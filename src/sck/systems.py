@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DimensionError, DomainError, SingularResolventError
+from .exceptions import DimensionError, DomainError, NumericsError, SingularResolventError
 
 __all__ = [
     "ToleranceConfig",
@@ -250,6 +250,7 @@ class LambdaPoint:
     boundary: bool
 
 
+@_one_blas_thread()
 def lambda_set(
     sys: StochasticSystem,
     lambda_grid: Sequence[float],
@@ -322,7 +323,11 @@ def _expm(M: np.ndarray) -> np.ndarray:
     """exp(M) by scipy's scaling and squaring.  Every matrix exponential of
     the kit goes through here, and scipy is imported on the first one: its
     import costs more than most subcommands, and only ``convergence``,
-    :func:`semigroup_apply` and ``BsdeSolution.y_exact`` need it."""
+    :func:`semigroup_apply` and ``BsdeSolution.y_exact`` need it.  A result
+    that overflowed raises, so that no gap is read from inf - inf."""
     import scipy.linalg
 
-    return scipy.linalg.expm(M)
+    E = scipy.linalg.expm(M)
+    if not np.all(np.isfinite(E)):
+        raise NumericsError("matrix exponential overflowed the double range")
+    return E

@@ -30,7 +30,7 @@ from sck import bsde as bsde_module
 from sck import sde as sde_module
 from sck.cli import run_subcommand
 from sck.config import parse_run_config
-from sck.exceptions import DimensionError, DomainError
+from sck.exceptions import DimensionError, DomainError, NumericsError
 
 
 def example2():
@@ -609,6 +609,20 @@ class TestApproximationConvergence:
             approximation_convergence(s, None, cfg, [10], [1e-3, 1e-1])
         with pytest.raises(DomainError):
             approximation_convergence(s, None, cfg, [], [1e-1])
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_is_rejected(self, lam):
+        s = StochasticSystem(-np.eye(2), np.ones((2, 1)), C=0.3 * np.eye(2))
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=1)
+        with pytest.raises(DomainError, match=r"^lam contains non-finite"):
+            approximation_convergence(s, None, cfg, [10, 100], [1e-1, 1e-3], lam=lam)
+
+    def test_overflowed_semigroup_raises(self):
+        # exp(800) overflows: inf - inf gaps would read as converged zeros
+        s = StochasticSystem(np.diag([800.0, -2.0]), [[1.0], [0.5]], C=0.1 * np.eye(2))
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=1)
+        with pytest.raises(NumericsError, match="matrix exponential overflowed"):
+            approximation_convergence(s, None, cfg, [1000, 2000], [0.1, 0.01])
 
 
 class TestConvergenceCost:

@@ -309,6 +309,24 @@ class TestErrorStatuses:
                  else f"dual recursion blew up at backward step {50 - step}")
         assert capsys.readouterr().err.startswith(f"sck: numerical failure: {where} (dt=0.1)")
 
+    def test_overflowed_semigroup_is_exit_2(self, tmp_path, capsys):
+        # exp(800) is inf: the gaps inf - inf must not read as converged zeros
+        raw = {"system": {"matrices": {"A": [[800, 0], [0, -2]], "B": [[1], [0.5]],
+                                       "C": [[0.1, 0], [0, 0.1]]}},
+               "sim": {"T": 1, "dt": 0.1, "n_paths": 10, "seed": 1},
+               "convergence": {"n_list": [1000, 2000], "delta_list": [0.1, 0.01]}}
+        code, text = run_cli(tmp_path, "convergence", raw)
+        assert code == 2 and text is None
+        assert capsys.readouterr().err.endswith(
+            "sck: numerical failure: matrix exponential overflowed the double range\n")
+
+    def test_zero_quad_order_is_rejected(self, tmp_path, capsys):
+        raw = {"system": {"divform1d": {"N": 8, "quad_order": 0, "a": 1.0, "c": 0.0, "b": 1.0}}}
+        code, text = run_cli(tmp_path, "assemble", raw)
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == (
+            "sck: input error: system.divform1d: quad_order must be >= 2N = 16, got 0\n")
+
     def test_negative_verdict_still_succeeds(self, tmp_path):
         code, text = run_cli(tmp_path, "verdict", EXAMPLE2)
         assert code == 0

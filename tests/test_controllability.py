@@ -19,7 +19,7 @@ from sck import (
     strict_invariant_subspace,
     verdict,
 )
-from sck import cli, controllability, systems
+from sck import cli, controllability, galerkin, systems
 from sck.config import parse_run_config
 from sck.exceptions import DimensionError, DomainError
 from sck.galerkin import polynomial, trigonometric
@@ -60,6 +60,12 @@ class TestKalmanHautusRank:
         A = np.diag([-1.0, -2.0])
         ok, _ = kalman_hautus_rank(A, np.ones((2, 1)), s_samples=[0.5 + 1j, -3.0])
         assert ok
+
+    @pytest.mark.parametrize("sample", [np.nan, complex(0.0, np.inf)])
+    def test_non_finite_sample_rejected(self, sample):
+        # a NaN would reach the pencil's SVD, which does not converge
+        with pytest.raises(DomainError, match=r"^s_samples contains non-finite"):
+            kalman_hautus_rank(np.diag([-1.0, -2.0]), np.ones((2, 1)), s_samples=[-3.0, sample])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_chain_of_integrators(self, n):
@@ -137,6 +143,21 @@ class TestCheckCondition:
             with pytest.raises(DomainError, match=r"^explicit_points contains non-finite"):
                 check_condition(self.explicit_system(), lams, condition,
                                 explicit_points=[(0.0, -1.0), (0.0, np.nan)])
+
+    def test_explicit_points_as_an_array(self):
+        points = [(0.0, -1.0), (0.0, -2.0)]
+        as_list = check_condition(self.explicit_system(), [0.0], "N2", explicit_points=points)
+        as_array = check_condition(self.explicit_system(), [0.0], "N2",
+                                   explicit_points=np.array(points))
+        assert as_array.points == as_list.points and len(as_list.points) >= 2
+        none = check_condition(self.explicit_system(), [], "N1", explicit_points=np.empty((0, 2)))
+        assert none.points == check_condition(self.explicit_system(), [], "N1").points
+
+    @pytest.mark.parametrize("points", [[(0.0, -1.0, 2.0)], [(0.0,)], [0.0, -1.0]])
+    def test_explicit_points_must_be_pairs(self, points):
+        for condition, lams in (("N1", []), ("N2", [0.0])):
+            with pytest.raises(DimensionError, match=r"^explicit_points must "):
+                check_condition(self.explicit_system(), lams, condition, explicit_points=points)
 
     def test_non_finite_explicit_lambda_rejected(self):
         # named as what it is, not as an entry of the lambda grid
@@ -437,11 +458,11 @@ class TestOneBlasThread:
         yield get
         set_(before)
 
-    def record_threads(self, monkeypatch, threads, name, after=False):
-        """Wrap ``controllability.<name>`` to record the thread count when it
-        is called, or with ``after`` when it returns."""
+    def record_threads(self, monkeypatch, threads, name, after=False, module=controllability):
+        """Wrap ``module.<name>`` to record the thread count when it is
+        called, or with ``after`` when it returns."""
         seen = []
-        orig = getattr(controllability, name)
+        orig = getattr(module, name)
 
         def recording(*args, **kwargs):
             if not after:
@@ -451,7 +472,7 @@ class TestOneBlasThread:
                 seen.append(threads())
             return out
 
-        monkeypatch.setattr(controllability, name, recording)
+        monkeypatch.setattr(module, name, recording)
         return seen
 
     def test_scans_run_on_one_thread(self, threads, monkeypatch):
@@ -459,6 +480,15 @@ class TestOneBlasThread:
         check_condition(example2_system(), [-3 * PI2], "N2")
         kalman_hautus_rank(np.diag([-1.0, -2.0]), np.ones((2, 1)))
         assert seen and set(seen) == {1}
+        assert threads() == 2
+
+    def test_lambda_set_and_b_coeffs_run_on_one_thread(self, threads, monkeypatch):
+        # their eigensolvers split work over the pool, and the bits with it
+        spectra = self.record_threads(monkeypatch, threads, "_spectrum", module=galerkin)
+        margins = self.record_threads(monkeypatch, threads, "eigvalsh", module=np.linalg)
+        b_coefficient_test(example2_system())
+        systems.lambda_set(example2_system(), [0.0, 1.0])
+        assert spectra == [1] and margins == [1, 1]
         assert threads() == 2
 
     def test_count_restored_after_return(self, threads):

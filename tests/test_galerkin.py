@@ -35,6 +35,20 @@ class TestCoefficients:
         x = np.array([0.0, 0.5])
         assert np.allclose(f(x), 1.0 - 2.0 * x + 3.0 * x * x)
 
+    @pytest.mark.parametrize("degree", range(-1, 8))
+    def test_polynomial_is_horner_bitwise(self, degree):
+        # the divform1d moments, and so every verdict bit, depend on these bits
+        rng = np.random.default_rng(degree + 1)
+        coeffs, x = rng.standard_normal(degree + 1), rng.uniform(0.0, 1.0, 1000)
+        expected = np.zeros_like(x)
+        for c in coeffs[::-1]:
+            expected = expected * x + c
+        assert np.array_equal(polynomial(coeffs)(x), expected)
+
+    def test_polynomial_of_integers_is_float(self):
+        out = polynomial([1, 2])(np.array([0, 1]))
+        assert out.dtype == float and out.tolist() == [1.0, 3.0]
+
     def test_trigonometric(self):
         f = trigonometric(offset=1.0, sin_coeffs=[0.5], cos_coeffs=[0.0, 0.25])
         x = np.array([0.3])
@@ -216,6 +230,13 @@ class TestAssembleDivform:
         with pytest.raises(DomainError):
             HeatSystemSpec(N=8, a_fn=constant(1.0), c_fn=constant(0.0),
                            b_fn=constant(1.0), quad_order=4)
+
+    def test_quad_order_zero_is_not_the_default(self):
+        coefficients = dict(a_fn=constant(1.0), c_fn=constant(0.0), b_fn=constant(1.0))
+        assert HeatSystemSpec(N=12, **coefficients).quad_order == 24
+        assert HeatSystemSpec(N=4, **coefficients).quad_order == 16
+        with pytest.raises(DomainError, match=r"^quad_order must be >= 2N = 16, got 0$"):
+            HeatSystemSpec(N=8, quad_order=0, **coefficients)
 
 
 class TestCheckEllipticity:

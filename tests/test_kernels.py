@@ -144,15 +144,45 @@ print(json.dumps({"moments": digest(*moments),
 """
 
 
-def test_sweeps_bitwise_equal_across_blas_thread_counts():
-    # an odd path count splits unevenly over two OpenBLAS threads; the
-    # sweep's products run on one thread each, so the bits must not move
+def thread_runs(script: str) -> list[dict]:
+    """What ``script`` prints in a fresh interpreter on one OpenBLAS thread
+    and on two."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     runs = []
     for threads in ("1", "2"):
         env["OPENBLAS_NUM_THREADS"] = threads
-        out = subprocess.run([sys.executable, "-c", SWEEPS], env=env,
+        out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         runs.append(json.loads(out.stdout))
+    return runs
+
+
+def test_sweeps_bitwise_equal_across_blas_thread_counts():
+    # an odd path count splits unevenly over two OpenBLAS threads; the
+    # sweep's products run on one thread each, so the bits must not move
+    runs = thread_runs(SWEEPS)
+    assert runs[0] == runs[1]
+
+
+ALGEBRA = """
+import hashlib, json
+from sck.cli import render_json, run_subcommand
+from sck.config import parse_run_config
+
+cfg = {"system": {"divform1d": {
+           "N": 256, "a": {"type": "trigonometric", "offset": 1.0, "sin": [0.5]},
+           "c": {"type": "trigonometric", "cos": [0.3]},
+           "b": {"type": "polynomial", "coeffs": [0.0, 1.0, -1.0]}}},
+       "lambda_grid": [-1.0, -0.5, 0.5, 1.0]}
+print(json.dumps({sub: hashlib.sha256(render_json(run_subcommand(sub, parse_run_config(cfg)))
+                                      .encode()).hexdigest()
+                  for sub in ("b-coeffs", "lambda-set")}))
+"""
+
+
+def test_algebra_bitwise_equal_across_blas_thread_counts():
+    # at N = 256 the eigensolvers of b-coeffs and lambda-set split their
+    # work over two OpenBLAS threads unless pinned to one
+    runs = thread_runs(ALGEBRA)
     assert runs[0] == runs[1]

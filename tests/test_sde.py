@@ -77,6 +77,16 @@ class TestSimConfig:
         with pytest.raises(DomainError):
             SimConfig(T=1.0, dt=0.1, n_paths=10, seed=-1)
 
+    @pytest.mark.parametrize("field", ["n_paths", "seed", "regression_degree"])
+    def test_integer_fields_reject_floats(self, field):
+        # seed 1.5 would draw seed 1's noise, n_paths 10.5 fail inside a sweep
+        fields = dict(T=1.0, dt=0.1, n_paths=10, seed=1, regression_degree=1)
+        fields[field] += 0.5
+        with pytest.raises(DomainError, match=rf"^{field} must be an integer"):
+            SimConfig(**fields)
+        fields[field] = np.int64(fields[field] - 0.5)  # numpy integers are integers
+        assert getattr(SimConfig(**fields), field) == fields[field]
+
     def test_grid_properties(self):
         cfg = SimConfig(T=1.0, dt=0.25, n_paths=2, seed=0)
         assert cfg.n_steps == 4
@@ -622,6 +632,13 @@ class TestGirsanov:
         monkeypatch.setattr(sde, "_step_normals", no_noise)
         with pytest.raises(DimensionError, match="x0"):
             girsanov_check(s, 0.5, np.ones(3), ZeroControl(), cfg, [0.1])
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_is_rejected(self, lam):
+        # not read as an unstable scheme that a smaller time step would cure
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=4, seed=0)
+        with pytest.raises(DomainError, match=r"^lam contains non-finite"):
+            girsanov_check(scalar_system(), lam, [1.0], ZeroControl(), cfg, [0.1])
 
 
 class TestFitOrder:

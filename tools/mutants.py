@@ -89,6 +89,21 @@ MUTANTS = [
            "lambda_set(sys, lams + [lam for lam, _ in explicit_points], cfg)",
            "lambda_set(sys, lams, cfg)",
            (_CC + "TestCheckCondition", "tests/test_cli.py::TestErrorStatuses")),
+    Mutant("explicit-points-unshaped", "src/sck/controllability.py",
+           "if explicit_points.shape[1] != 2:", "if False:", (_CC + "TestCheckCondition",)),
+    Mutant("expm-overflow-unchecked", "src/sck/systems.py",
+           "if not np.all(np.isfinite(E)):", "if False:",
+           ("tests/test_bsde.py::TestApproximationConvergence",
+            "tests/test_cli.py::TestErrorStatuses")),
+    # the pins: without one, an eigensolver's bits follow the thread count
+    Mutant("lambda-set-unpinned", "src/sck/systems.py",
+           "@_one_blas_thread()\ndef lambda_set(", "def lambda_set(",
+           ("tests/test_kernels.py::test_algebra_bitwise_equal_across_blas_thread_counts",
+            _CC + "TestOneBlasThread")),
+    Mutant("b-coeffs-unpinned", "src/sck/galerkin.py",
+           "@_one_blas_thread()\ndef b_coefficient_test(", "def b_coefficient_test(",
+           ("tests/test_kernels.py::test_algebra_bitwise_equal_across_blas_thread_counts",
+            _CC + "TestOneBlasThread")),
 ]
 
 
