@@ -100,7 +100,7 @@ def _simulation(cfg: RunConfig, rows: bool = True):
 
 def _hautus(system, grid, condition: str, cfg: RunConfig) -> dict:
     return _hautus_payload(controllability.check_condition(
-        system, grid, condition, cfg.tolerances, explicit_points=cfg.explicit_points
+        system, grid, condition, cfg.tolerances, explicit_points=cfg.explicit_points or None
     ))
 
 

@@ -259,9 +259,8 @@ def check_condition(
     """
     if condition not in CONDITION_TAGS:
         raise DomainError(f"condition must be one of {CONDITION_TAGS}, got {condition!r}")
-    if explicit_points is None or len(explicit_points) == 0:
-        explicit_points = np.empty((0, 2))
-    explicit_points = as_array(explicit_points, 2, "explicit_points")
+    explicit_points = as_array(np.empty((0, 2)) if explicit_points is None else explicit_points,
+                               2, "explicit_points")
     if explicit_points.shape[1] != 2:
         raise DimensionError(f"explicit_points must have shape (k, 2), got {explicit_points.shape}")
     explicit_points = explicit_points.tolist()

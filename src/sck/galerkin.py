@@ -60,9 +60,10 @@ def trigonometric(
     def f(x):
         x = np.asarray(x, dtype=float)
         out = np.full_like(x, offset)
-        for wave, coeffs in ((np.sin, sin_coeffs), (np.cos, cos_coeffs)):
-            for j, c in enumerate(coeffs, start=1):
-                out += c * wave(j * np.pi * x)
+        for j, c in enumerate(sin_coeffs, start=1):
+            out += c * np.sin(j * np.pi * x)
+        for j, c in enumerate(cos_coeffs, start=1):
+            out += c * np.cos(j * np.pi * x)
         return out
 
     return f
