@@ -446,8 +446,10 @@ def approximation_convergence(
     Y_mod - Y = dy_0 + W_t dy_1, and y_1 does not depend on C, so the gap is
     max_k |dy_0(k)|^2 from the coefficient recursions; no noise is drawn.
     """
+    if not all(isinstance(v, (int, np.integer)) for v in n_list):
+        raise DomainError(f"n_list entries must be integers, got {list(n_list)!r}")
     n_list = [int(v) for v in n_list]
-    delta_list = [float(d) for d in delta_list]
+    delta_list = as_array(delta_list, 1, "delta_list").tolist()
     if not n_list or not delta_list:
         raise DomainError("n_list and delta_list must be non-empty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):

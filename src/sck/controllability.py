@@ -16,25 +16,18 @@ a small SVD slower, up to several times.  The previous thread count is
 restored when the call returns or raises.  Under a BLAS that is not
 OpenBLAS the pool is left alone.
 
-``verdict`` instead runs on two Python threads.  Once it has decided the
-accepted lambdas, ``systems._offload`` hands the eigen-decompositions of
-A^T and of each accepted (A + lam C)^T, last first, to the helper, a
-one-worker ``ThreadPoolExecutor``, while the calling thread runs the
-subspace sweep; the N1 and N2 scans then run on the calling thread and
-claim the decompositions in order through their Futures, running any the
-helper has not begun.
-Every public function, and so every span a tracer wraps around one, runs
-on the calling thread; the helper runs only ``_spectrum``.  Each job runs
-whole on one OpenBLAS thread, so the report does not depend on which
-thread ran it.  The sweep, which exits after one step when C moves no
-direction of Range B into Range B, is short (0.4 ms at the N = 128 parity
-system), so the helper's gain is two spectra computed at once: on a 2-vCPU
-VM, ``verdict`` there takes 29-42 ms with it and 44-49 ms without.
+``verdict`` also runs on ``systems._helper``'s second thread.  Once it has
+decided the accepted lambdas, it hands the eigen-decompositions of A^T and
+of each accepted (A + lam C)^T to the helper while the calling thread runs
+the subspace sweep; the N1 and N2 scans then claim the decompositions in
+order.  The sweep, which exits after one step when C moves no direction
+of Range B into Range B, is short (0.4 ms at the N = 128 parity system),
+so the helper's gain is two spectra computed at once: on a 2-vCPU VM,
+``verdict`` there takes 29-42 ms with it and 44-49 ms without.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -45,7 +38,7 @@ from .systems import (
     StochasticSystem,
     SubspaceBasis,
     ToleranceConfig,
-    _offload,
+    _helper,
     _one_blas_thread,
     as_array,
     lambda_set,
@@ -245,7 +238,7 @@ def check_condition(
     evaluations (for N1 the lam entry is ignored).  Flags follow
     ``_negligible``; ``cfg`` enters only the lambda test.
 
-    ``_spectra`` is :func:`verdict`'s: one claim (``systems._offload``) per
+    ``_spectra`` is :func:`verdict`'s: one claim (``systems._helper``) per
     operator, in order, returning that operator's ``_spectrum``.  Its lambdas
     are the ones verdict accepted, so the lambda test is not repeated.
 
@@ -428,7 +421,6 @@ class ControllabilityVerdict:
     lambdas_used: list[float]
 
 
-@_one_blas_thread()
 def verdict(
     sys: StochasticSystem,
     lambdas: Sequence[float],
@@ -440,24 +432,20 @@ def verdict(
     joint-dissipativity test (the condition only quantifies over that set);
     rejected grid values are simply dropped here, while calling
     :func:`check_condition` directly with a rejected value raises.  The set
-    is decided once.  A one-worker ``ThreadPoolExecutor`` computes the
-    spectra of A^T and of each accepted (A + lam C)^T beside the short
-    subspace sweep and the scans, which claim them here: two spectra are
-    computed at once, as the module docstring says.
+    is decided once.  The helper computes the spectra of A^T and of each
+    accepted (A + lam C)^T beside the short subspace sweep and the scans,
+    which claim them here: two spectra are computed at once, as the module
+    docstring says.
     """
     lambdas = [float(l) for l in lambdas]
     accepted = [p.lam for p in lambda_set(sys, lambdas, cfg) if p.in_set] if lambdas else []
     A, C = sys.A, sys.C
-    helper = ThreadPoolExecutor(max_workers=1)
-    try:
-        spectra = _offload(helper, [(_spectrum, M.T)
-                                    for M in [A] + [A + lam * C for lam in accepted]])
+    with _helper() as offload:
+        spectra = offload([(_spectrum, M.T) for M in [A] + [A + lam * C for lam in accepted]])
         sub = strict_invariant_subspace(A, C, sys.B)
         n1 = check_condition(sys, [], "N1", cfg, _spectra=spectra[:1])
         n2 = check_condition(sys, accepted, "N2", cfg, _spectra=spectra[1:]) if accepted else None
-    finally:
-        helper.shutdown(cancel_futures=True)
-    commuting = commuting_case_check(sys)
+        commuting = commuting_case_check(sys)
 
     n1_passed = n1.passed
     n2_passed = n2.passed if n2 is not None else True

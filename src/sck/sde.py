@@ -16,26 +16,18 @@ the shifted one, (I + dt (A + lam C), C + lam I), as two lanes.  The sweep
 steps into two buffers used in turn, so an array it hands out is overwritten
 two steps later; public results keep paths-first shapes.
 
-The sweep runs each step on two threads under one OpenBLAS thread: the
-calling thread, which also runs the consumer of the sweep and every public
-function, and a one-worker ``ThreadPoolExecutor`` per sweep, the helper, as
-``controllability.verdict`` uses too.  Each piece of work is a job that
-``systems._offload`` submits to the helper, a list at a time and last
-first; the calling thread claims the jobs in order through their Futures,
-running a job itself if the helper has not begun it.  The pieces are the
-draw of a step's dW, the products F X_k and C X_k (one pair per lane),
-and, on each half of the paths, the update that adds (C X_k) dW_k and each
-lane's B u_k dt and checks every lane for blow-up.  A step's draw does not
-depend on the state, so it is submitted two steps ahead, into a ring of
-three dW buffers; the update jobs are submitted once every product has
-been claimed.  A late helper costs parallelism but never a wait for it to
-start.  The split into jobs is fixed and each runs single-threaded, so the
-bits depend neither on the schedule nor on the host's core count.
+Each step runs on two threads, the calling thread (which also runs the
+consumer of the sweep) and ``systems._helper``, whose docstring gives the
+claim rule and why it keeps every bit.  The jobs are the draw of a step's
+dW, the products F X_k and C X_k (one pair per lane), and, on each half of
+the paths, the update that adds (C X_k) dW_k and each lane's B u_k dt and
+checks every lane for blow-up.  A step's draw does not depend on the state,
+so it is submitted two steps ahead, into a ring of three dW buffers; the
+update jobs are submitted once every product has been claimed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence, Union
 
@@ -45,7 +37,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .exceptions import DimensionError, DomainError, StabilityError
-from .systems import StochasticSystem, _offload, _one_blas_thread, as_array
+from .systems import StochasticSystem, _helper, as_array
 
 __all__ = [
     "SimConfig",
@@ -278,11 +270,8 @@ def _sweep(lanes: list[tuple[np.ndarray, np.ndarray]], x0: np.ndarray, bu,
     (n_paths, n, L).  ``bu(k, X)`` gets what step k starts from, paths-last,
     and returns step k's B u dt (per lane, in a list, for a block), or None;
     it is called on the calling thread once the consumer has taken X_k.
-    Steps run on two threads as the module docstring says, each list of
-    jobs submitted last first and claimed in order through its Futures;
-    however the sweep ends (a blow-up, a failed draw or a consumer closing
-    it early), the helper is stopped and joined and the OpenBLAS thread
-    count restored before the exception propagates.
+    However the sweep ends (a blow-up, a failed draw or a consumer closing
+    it early), ``_helper`` unwinds before the exception propagates.
     """
     K, one = cfg.n_steps, x0.ndim == 1
     X = np.repeat(np.atleast_2d(x0)[..., None], cfg.n_paths, axis=-1)
@@ -304,28 +293,23 @@ def _sweep(lanes: list[tuple[np.ndarray, np.ndarray]], x0: np.ndarray, bu,
         return [(_finish, out[h], noise[h], dw[h[-1]],
                  None if bu is None else [b[h] for b in bu], k + 1, cfg.dt) for h in halves]
 
-    with _one_blas_thread():
-        helper = ThreadPoolExecutor(max_workers=1)
-        try:
-            draws = dict(enumerate(_offload(helper, [(_draw, cfg, j, dws[j])
-                                                     for j in range(min(K, 2))])))
-            yield 0, None, (X[0] if one else X).T
-            for k in range(K):
-                draws.pop(k)()  # dW_k, drawn here if the helper has not begun it
-                if k + 2 < K:
-                    draws[k + 2] = _offload(helper, [(_draw, cfg, k + 2, dws[(k + 2) % 3])])[0]
-                dw = dws[k % 3]
-                prods = _offload(helper, products(X, nxt))
-                b = bu(k, X[0] if one else X)
-                for claim in prods:
-                    claim()
-                fins = finishes(k, nxt, dw, [b] if one and b is not None else b)
-                for claim in _offload(helper, fins):  # every product is done
-                    claim()
-                X, nxt = nxt, X
-                yield k + 1, dw, (X[0] if one else X).T
-        finally:
-            helper.shutdown(cancel_futures=True)
+    with _helper() as offload:
+        draws = dict(enumerate(offload([(_draw, cfg, j, dws[j]) for j in range(min(K, 2))])))
+        yield 0, None, (X[0] if one else X).T
+        for k in range(K):
+            draws.pop(k)()  # dW_k, drawn here if the helper has not begun it
+            if k + 2 < K:
+                draws[k + 2] = offload([(_draw, cfg, k + 2, dws[(k + 2) % 3])])[0]
+            dw = dws[k % 3]
+            prods = offload(products(X, nxt))
+            b = bu(k, X[0] if one else X)
+            for claim in prods:
+                claim()
+            fins = finishes(k, nxt, dw, [b] if one and b is not None else b)
+            for claim in offload(fins):  # every product is done
+                claim()
+            X, nxt = nxt, X
+            yield k + 1, dw, (X[0] if one else X).T
 
 
 def _forward_sweep(

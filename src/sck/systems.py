@@ -13,6 +13,7 @@ import contextlib
 import ctypes
 import functools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +37,14 @@ def as_array(x, ndim: int, name: str, square: bool = False) -> np.ndarray:
     """Coerce to a finite float64 array of ``ndim`` dimensions, square if
     asked; always a fresh copy, so callers and callees never alias each
     other's data."""
-    x = np.array(x, dtype=float)
+    try:
+        x = np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        try:
+            np.shape(x)
+        except ValueError:
+            raise DimensionError(f"{name} is ragged: its rows differ in length") from None
+        raise DomainError(f"{name} contains non-numeric entries ({exc})") from None
     if x.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-D, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -111,6 +119,29 @@ def _offload(pool, jobs):
 
     futures = [pool.submit(*job) for job in reversed(jobs)][::-1]
     return [claim(fn, args, future) for (fn, *args), future in zip(jobs, futures)]
+
+
+@contextlib.contextmanager
+def _helper():
+    """The kit's second thread: pin one OpenBLAS thread, start the helper, a
+    one-worker ``ThreadPoolExecutor``, and yield ``offload(jobs)``, that is
+    :func:`_offload` on it.  However the block ends (a return, an exception,
+    a generator closed early), the jobs the helper has not begun are
+    cancelled and the helper is joined before the pin is released.
+
+    The forward sweep and ``controllability.verdict`` are its two users.
+    Their jobs are fixed in advance and run single-threaded, so the bits
+    depend neither on which thread ran a job nor on the core count, and a
+    late helper costs parallelism but never a wait for it to start.  Every
+    public function, and so every span a tracer wraps around one, runs on
+    the calling thread; the helper runs only private functions.
+    """
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            yield functools.partial(_offload, pool)
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -263,11 +294,9 @@ def lambda_set(
     form is monotone in a (C1^T C1 is PSD), so existence of an admissible
     a > 1/2 is equivalent to admissibility at the infimum plus the offset.
     """
-    grid = [float(lam) for lam in lambda_grid]
+    grid = as_array(lambda_grid, 1, "lambda_grid").tolist()
     if not grid:
         raise DomainError("lambda_grid must be non-empty")
-    if not all(np.isfinite(grid)):
-        raise DomainError("lambda_grid entries must be finite")
     A, C1 = sys.A, sys.C1
     gram = C1.T @ C1
     a = 0.5 + cfg.eps_a
@@ -327,7 +356,8 @@ def _expm(M: np.ndarray) -> np.ndarray:
     that overflowed raises, so that no gap is read from inf - inf."""
     import scipy.linalg
 
-    E = scipy.linalg.expm(M)
+    with np.errstate(over="ignore"):  # an overflow raises below, with no warning
+        E = scipy.linalg.expm(M)
     if not np.all(np.isfinite(E)):
         raise NumericsError("matrix exponential overflowed the double range")
     return E

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,17 @@ class TestSolveDualBsde:
         cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=0)
         with pytest.raises(DimensionError):
             solve_dual_bsde(s, DeterministicTerminal(np.ones(3)), cfg)
+
+    def test_unsupported_terminal_rejected(self):
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=0)
+        with pytest.raises(DomainError, match=r"^unsupported terminal specification: 'xi'$"):
+            solve_dual_bsde(example2(), "xi", cfg)
+
+    def test_needs_two_grid_times(self):
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=0)
+        with pytest.raises(DomainError, match=r"^need at least 2 regression times$"):
+            solve_dual_bsde(example2(), DeterministicTerminal(np.ones(4)), cfg,
+                            n_regression_times=1)
 
     @pytest.mark.parametrize("system", ["example2", "random"])
     def test_y_exact_is_the_closed_form_bitwise(self, system):
@@ -413,6 +425,13 @@ class TestAprioriBound:
         with pytest.raises(DomainError):
             apriori_bound_check(s, [DeterministicTerminal(np.ones(4))] * 3, cfg)
 
+    def test_requires_nonzero_samples(self):
+        s = StochasticSystem(-np.eye(2), np.ones((2, 1)))
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=100, seed=0)
+        terms = [DeterministicTerminal(c * np.ones(2)) for c in (1.0, 2.0, 0.0, 3.0, 4.0)]
+        with pytest.raises(DomainError, match=r"^terminal sample 2 has zero mean square$"):
+            apriori_bound_check(s, terms, cfg)
+
     def test_requires_distinct_norms(self):
         s = example2()
         cfg = SimConfig(T=1.0, dt=0.1, n_paths=100, seed=0)
@@ -609,6 +628,29 @@ class TestApproximationConvergence:
             approximation_convergence(s, None, cfg, [10], [1e-3, 1e-1])
         with pytest.raises(DomainError):
             approximation_convergence(s, None, cfg, [], [1e-1])
+
+    @pytest.mark.parametrize("n_list, delta_list, message", [
+        ([0, 10], [1e-1], "n_list entries must be >= 1"),
+        ([10], [1e-1, 0.0], "delta_list entries must be positive"),
+        # 10.5 and 20.9 ran as levels 10 and 20, and were reported so
+        ([10.5, 20.9], [1e-1], "n_list entries must be integers, got [10.5, 20.9]"),
+        # a NaN or inf reached the matrix exponential
+        ([10], [np.nan, 1e-3], "delta_list contains non-finite entries"),
+        ([10], [np.inf, 1e-3], "delta_list contains non-finite entries"),
+    ])
+    def test_list_entries_are_checked(self, n_list, delta_list, message):
+        s = StochasticSystem(-np.eye(2), np.ones((2, 1)))
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=1)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            approximation_convergence(s, None, cfg, n_list, delta_list)
+
+    def test_row_of_a_level_not_run(self):
+        s = StochasticSystem(-np.eye(2), np.ones((2, 1)), C=0.3 * np.eye(2))
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=1)
+        rep = approximation_convergence(s, None, cfg, [10, 100], [1e-1, 1e-3])
+        assert rep.row(100, 1e-3).nres == 100
+        with pytest.raises(KeyError, match=r"^\(7, 0\.5\)$"):
+            rep.row(7, 0.5)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda_is_rejected(self, lam):

@@ -215,6 +215,25 @@ class TestParseRunConfig:
         ("lambda_grid", [10**400], "lambda_grid[0]: value is not finite"),
         ("system", {"matrices": {"A": [[-1, 0], [0, -(10**400)]], "B": [[1], [1]]}},
          "system.matrices.A[1][1]: value is not finite"),
+        # one case per field parser and section gate
+        ("lambda_grid", [True], "lambda_grid[0]: expected a number, got a boolean"),
+        ("lambda_grid", [[1]], "lambda_grid[0]: expected a number or pi-expression string"),
+        ("n_regression_times", 2.5, "n_regression_times: expected an integer"),
+        ("n_regression_times", 1, "n_regression_times: must be >= 2"),
+        ("system", {"matrices": {"A": [], "B": [[1]]}},
+         "system.matrices.A: expected a non-empty row-major matrix"),
+        ("system", {"matrices": {"A": [[-1, 0], [0]], "B": [[1], [1]]}},
+         "system.matrices.A[1]: ragged matrix rows"),
+        ("explicit_points", [[1.0]], "explicit_points[0]: expected [lambda, alpha]"),
+        ("format", "xml", "format: must be one of ('json', 'csv'), got 'xml'"),
+        ("output_path", 5, "output_path: expected a string"),
+        ("control", [1], "control: expected an object"),
+        ("terminal", "xi", "terminal: expected an object"),
+        ("control", {"u": [1.0]}, "control.type: missing required field"),
+        ("terminal", {"type": "cubic"}, "terminal.type: unknown terminal type 'cubic'"),
+        ("system", {"divform1d": {"N": 4, "a": "one", "c": 0, "b": 1}},
+         "system.divform1d.a: expected a coefficient object or a number"),
+        ("system", [1], "system: expected an object"),
     ])
     def test_malformed_section_is_rejected(self, tmp_path, capsys, section, value, message):
         raw = dict(EXAMPLE2, **{section: value})
@@ -223,6 +242,19 @@ class TestParseRunConfig:
         code, text = run_cli(tmp_path, "check-n1", raw)
         assert code == 1 and text is None
         assert capsys.readouterr().err.startswith(f"sck: input error: {message}")
+
+    @pytest.mark.parametrize("raw, message", [
+        ([EXAMPLE2], "config: top level must be an object"),
+        ({"lambda_grid": [0]}, "config.system: missing required field"),
+    ])
+    def test_malformed_top_level_is_rejected(self, tmp_path, capsys, raw, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_run_config(raw)
+        cfg_path = tmp_path / "c.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["check-n1", "--config", str(cfg_path), "--output", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"sck: input error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestVerdictCommand:
@@ -309,16 +341,18 @@ class TestErrorStatuses:
                  else f"dual recursion blew up at backward step {50 - step}")
         assert capsys.readouterr().err.startswith(f"sck: numerical failure: {where} (dt=0.1)")
 
-    def test_overflowed_semigroup_is_exit_2(self, tmp_path, capsys):
-        # exp(800) is inf: the gaps inf - inf must not read as converged zeros
+    def test_overflowed_semigroup_is_exit_2(self, tmp_path, capsys, recwarn):
+        # exp(800) is inf: the gaps inf - inf must not read as converged zeros,
+        # and the one-line diagnostic is all that is printed
         raw = {"system": {"matrices": {"A": [[800, 0], [0, -2]], "B": [[1], [0.5]],
                                        "C": [[0.1, 0], [0, 0.1]]}},
                "sim": {"T": 1, "dt": 0.1, "n_paths": 10, "seed": 1},
                "convergence": {"n_list": [1000, 2000], "delta_list": [0.1, 0.01]}}
         code, text = run_cli(tmp_path, "convergence", raw)
         assert code == 2 and text is None
-        assert capsys.readouterr().err.endswith(
+        assert capsys.readouterr().err == (
             "sck: numerical failure: matrix exponential overflowed the double range\n")
+        assert [str(w.message) for w in recwarn] == []
 
     def test_zero_quad_order_is_rejected(self, tmp_path, capsys):
         raw = {"system": {"divform1d": {"N": 8, "quad_order": 0, "a": 1.0, "c": 0.0, "b": 1.0}}}
@@ -463,6 +497,12 @@ class TestErrorStatuses:
         assert code == 1 and text is None
         assert capsys.readouterr().err == (
             "sck: input error: system.matrices: pass either C or the C1/C2 split, not both\n")
+
+    def test_ellipticity_needs_named_coefficients(self, tmp_path, capsys):
+        code, text = run_cli(tmp_path, "ellipticity", EXAMPLE2)
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == (
+            "sck: input error: ellipticity: requires a divform1d system with named coefficients\n")
 
     def test_unknown_subcommand_in_library_calls(self):
         with pytest.raises(ConfigError, match="unknown subcommand"):

@@ -159,6 +159,15 @@ class TestCheckCondition:
             with pytest.raises(DimensionError, match=r"^explicit_points must "):
                 check_condition(self.explicit_system(), lams, condition, explicit_points=points)
 
+    @pytest.mark.parametrize("points, error, message", [
+        ([(0.0, -1.0), (0.0,)], DimensionError, "explicit_points is ragged"),
+        ([(0.0, "a")], DomainError, "explicit_points contains non-numeric entries"),
+    ])
+    def test_ragged_or_non_numeric_points_are_named(self, points, error, message):
+        # numpy's own error named no argument
+        with pytest.raises(error, match=f"^{message}"):
+            check_condition(self.explicit_system(), [], "N1", explicit_points=points)
+
     def test_non_finite_explicit_lambda_rejected(self):
         # named as what it is, not as an entry of the lambda grid
         with pytest.raises(DomainError, match=r"^explicit_points contains non-finite"):
@@ -558,7 +567,7 @@ class TestTwoThreadVerdict:
     def test_claim_winner_moves_no_bit(self, N, monkeypatch):
         me, takers = threading.get_ident(), []
         free = parity_report(N, self.GRID)
-        real_spectrum, real_offload = controllability._spectrum, controllability._offload
+        real_spectrum, real_offload = controllability._spectrum, systems._offload
 
         def spectrum(M_T):
             takers.append(threading.get_ident() == me)
@@ -587,9 +596,9 @@ class TestTwoThreadVerdict:
             takers.clear()
             with monkeypatch.context() as m:
                 if helper_first:
-                    m.setattr(controllability, "_offload", late_offload)
+                    m.setattr(systems, "_offload", late_offload)
                 else:
-                    m.setattr(controllability, "ThreadPoolExecutor", LateHelper)
+                    m.setattr(systems, "ThreadPoolExecutor", LateHelper)
                 runs[helper_first] = parity_report(N, self.GRID), list(takers)
         spectra = 1 + 3  # A^T and the three accepted (A + lam C)^T
         mine, taken = runs[False]

@@ -67,6 +67,10 @@ class TestCompositeGauss:
         _, weights = composite_gauss(5)
         assert np.sum(weights) == pytest.approx(1.0, abs=1e-14)
 
+    def test_needs_a_panel(self):
+        with pytest.raises(DomainError, match=r"^n_panels must be positive$"):
+            composite_gauss(0)
+
 
 class TestAssembleExample2:
     def test_small_truncation_matrices(self):

@@ -87,6 +87,11 @@ class TestSimConfig:
         fields[field] = np.int64(fields[field] - 0.5)  # numpy integers are integers
         assert getattr(SimConfig(**fields), field) == fields[field]
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_step_must_be_positive(self, dt):
+        with pytest.raises(DomainError, match=rf"^dt must be positive, got {dt}$"):
+            SimConfig(T=1.0, dt=dt, n_paths=10, seed=1)
+
     def test_grid_properties(self):
         cfg = SimConfig(T=1.0, dt=0.25, n_paths=2, seed=0)
         assert cfg.n_steps == 4
@@ -99,6 +104,12 @@ class TestBrownianSource:
         full = brownian_increments(cfg)
         block = brownian_increments(cfg, 7, 15)
         assert np.array_equal(full[:, 7:15], block)
+
+    @pytest.mark.parametrize("k0, k1", [(3, 2), (-1, 2), (0, 21)])
+    def test_step_range_is_checked(self, k0, k1):
+        cfg = SimConfig(T=1.0, dt=0.05, n_paths=64, seed=123)
+        with pytest.raises(DomainError, match=rf"^invalid step range \[{k0}, {k1}\)$"):
+            brownian_increments(cfg, k0, k1)
 
     def test_increments_are_the_per_step_draws(self):
         # the stored block and the forward ensemble's increments are exactly
@@ -204,6 +215,17 @@ class TestSimulateForward:
         part = simulate_forward(s, [1.0], ZeroControl(), cfg, record_steps=[5])
         assert np.allclose(part.times, [0.0, 0.5, 1.0])
         assert np.array_equal(part.states[:, 1, 0], full.states[:, 5, 0])
+
+    @pytest.mark.parametrize("steps", [[-1], [11]])
+    def test_record_steps_out_of_range(self, steps):
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=5, seed=2)
+        with pytest.raises(DomainError, match=r"^record_steps out of range$"):
+            simulate_forward(scalar_system(), [1.0], ZeroControl(), cfg, record_steps=steps)
+
+    def test_unsupported_control_rejected(self):
+        cfg = SimConfig(T=1.0, dt=0.5, n_paths=2, seed=0)
+        with pytest.raises(DomainError, match=r"^unsupported control specification: 'zero'$"):
+            simulate_forward(scalar_system(), [1.0], "zero", cfg)
 
     def test_control_shapes_validated(self):
         s = scalar_system()
@@ -499,7 +521,7 @@ class TestTwoThreadSweep:
             return [a.tobytes() for a in arrays], list(takers)
 
         free, _ = sweeps()
-        real_product, real_offload = sde._product, sde._offload
+        real_product, real_offload = sde._product, systems._offload
 
         def product(M, X, out):
             if any(np.array_equal(M, C) for C in noises):
@@ -528,9 +550,9 @@ class TestTwoThreadSweep:
         for helper_first in (False, True):
             with monkeypatch.context() as m:
                 if helper_first:
-                    m.setattr(sde, "_offload", late_offload)
+                    m.setattr(systems, "_offload", late_offload)
                 else:
-                    m.setattr(sde, "ThreadPoolExecutor", LateHelper)
+                    m.setattr(systems, "ThreadPoolExecutor", LateHelper)
                 runs[helper_first] = sweeps()
         steps = cfg.n_steps * (1 + 3 + 2)
         mine, taken = runs[False]

@@ -1,4 +1,7 @@
 import dataclasses
+import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from sck import (
     semigroup_apply,
     yosida,
 )
+from sck import systems
 from sck.exceptions import DimensionError, DomainError, SingularResolventError
 
 
@@ -45,6 +49,16 @@ class TestStochasticSystem:
             StochasticSystem(bad, np.ones((2, 1)))
         with pytest.raises(DomainError):
             StochasticSystem(A, np.ones((2, 1)), gamma=0.5)
+
+    @pytest.mark.parametrize("A, error, message", [
+        ([[-1.0, 0.0], [1.0]], DimensionError, "A is ragged: its rows differ in length"),
+        ([[-1.0, "a"], [1.0, -1.0]], DomainError,
+         "A contains non-numeric entries (could not convert string to float: 'a')"),
+    ])
+    def test_ragged_or_non_numeric_matrix_is_named(self, A, error, message):
+        # numpy's own error named no argument
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            StochasticSystem(A, [[1.0], [0.0]])
 
     def test_both_c_forms_rejected(self):
         A = np.diag([-1.0])
@@ -109,6 +123,10 @@ class TestIsDissipative:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             is_dissipative(np.ones((2, 3)))
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(DomainError, match=r"^tol must be >= 0$"):
+            is_dissipative(-np.eye(2), -1e-12)
 
 
 class TestLambdaSet:
@@ -176,6 +194,18 @@ class TestLambdaSet:
         with pytest.raises(DomainError):
             lambda_set(s, [])
 
+    def test_grid_must_be_a_list_of_numbers(self):
+        # a nested grid raised float()'s bare TypeError
+        s = StochasticSystem(-np.eye(2), np.ones((2, 1)))
+        with pytest.raises(DimensionError, match=r"^lambda_grid must be 1-D, got shape \(1, 2\)$"):
+            lambda_set(s, [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        s = StochasticSystem(-np.eye(2), np.ones((2, 1)))
+        with pytest.raises(DomainError, match=r"^lambda_grid .*finite"):
+            lambda_set(s, [0.0, bad])
+
 
 class TestYosida:
     def test_zero_operator(self):
@@ -215,6 +245,10 @@ class TestYosida:
         with pytest.raises(SingularResolventError):
             yosida(np.array([[1.0]]), 1)
 
+    def test_level_below_one_rejected(self):
+        with pytest.raises(DomainError, match=r"^nres must be a positive integer$"):
+            yosida(-np.eye(2), 0)
+
 
 class TestSemigroupApply:
     def test_identity_at_zero_time(self):
@@ -249,7 +283,23 @@ class TestSemigroupApply:
         with pytest.raises(DomainError):
             semigroup_apply(np.eye(2), -0.1, np.ones(2))
 
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DimensionError, match=r"^x length must match A$"):
+            semigroup_apply(-np.eye(2), 0.5, np.ones(3))
+
     def test_deterministic(self):
         A = np.array([[-1.0, 0.3], [0.2, -2.0]])
         x = np.array([0.4, 1.0])
         assert np.array_equal(semigroup_apply(A, 0.37, x), semigroup_apply(A, 0.37, x))
+
+
+class TestHelper:
+    def test_unbegun_jobs_are_cancelled_and_the_helper_joined(self):
+        ran, threads = [], threading.active_count()
+        with pytest.raises(RuntimeError, match="^stop$"):
+            with systems._helper() as offload:
+                # submitted last first: the helper takes the sleep, and the
+                # append waits behind it until the block ends
+                offload([(ran.append, 1), (time.sleep, 0.2)])
+                raise RuntimeError("stop")
+        assert ran == [] and threading.active_count() == threads

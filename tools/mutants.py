@@ -104,6 +104,22 @@ MUTANTS = [
            "@_one_blas_thread()\ndef b_coefficient_test(", "def b_coefficient_test(",
            ("tests/test_kernels.py::test_algebra_bitwise_equal_across_blas_thread_counts",
             _CC + "TestOneBlasThread")),
+    # library input gates
+    Mutant("as-array-uncaught", "src/sck/systems.py",
+           "except (TypeError, ValueError) as exc:", "except ZeroDivisionError as exc:",
+           ("tests/test_systems.py::TestStochasticSystem", _CC + "TestCheckCondition")),
+    Mutant("n-list-unchecked", "src/sck/bsde.py",
+           "if not all(isinstance(v, (int, np.integer)) for v in n_list):", "if False:",
+           ("tests/test_bsde.py::TestApproximationConvergence",)),
+    Mutant("delta-list-unchecked", "src/sck/bsde.py",
+           'delta_list = as_array(delta_list, 1, "delta_list").tolist()',
+           "delta_list = [float(d) for d in delta_list]",
+           ("tests/test_bsde.py::TestApproximationConvergence",)),
+    # the helper must drop the jobs it has not begun, not run them first
+    Mutant("helper-runs-unbegun-jobs", "src/sck/systems.py",
+           "pool.shutdown(cancel_futures=True)", "pool.shutdown()",
+           ("tests/test_systems.py::TestHelper", "tests/test_sde.py::TestTwoThreadSweep",
+            _CC + "TestTwoThreadVerdict")),
 ]
 
 
