@@ -17,13 +17,14 @@ steps into two buffers used in turn, so an array it hands out is overwritten
 two steps later; public results keep paths-first shapes.
 
 Each step runs on two threads, the calling thread (which also runs the
-consumer of the sweep) and ``systems._helper``, whose docstring gives the
-claim rule and why it keeps every bit.  The jobs are the draw of a step's
-dW, the products F X_k and C X_k (one pair per lane), and, on each half of
-the paths, the update that adds (C X_k) dW_k and each lane's B u_k dt and
-checks every lane for blow-up.  A step's draw does not depend on the state,
-so it is submitted two steps ahead, into a ring of three dW buffers; the
-update jobs are submitted once every product has been claimed.
+consumer of the sweep) and ``systems._helper``, whose docstrings (with
+``_offload``'s) give the claim rule and why it keeps every bit.  The jobs
+are the draw of a step's dW, the products F X_k and C X_k (one pair per
+lane), and, on each half of the paths, the update that adds (C X_k) dW_k
+and each lane's B u_k dt and checks every lane for blow-up.  A step's draw
+does not depend on the state, so it is submitted two steps ahead, into a
+ring of three dW buffers; the update jobs are submitted once every product
+has been claimed.
 """
 
 from __future__ import annotations

@@ -632,9 +632,7 @@ class TestApproximationConvergence:
     @pytest.mark.parametrize("n_list, delta_list, message", [
         ([0, 10], [1e-1], "n_list entries must be >= 1"),
         ([10], [1e-1, 0.0], "delta_list entries must be positive"),
-        # 10.5 and 20.9 ran as levels 10 and 20, and were reported so
         ([10.5, 20.9], [1e-1], "n_list entries must be integers, got [10.5, 20.9]"),
-        # a NaN or inf reached the matrix exponential
         ([10], [np.nan, 1e-3], "delta_list contains non-finite entries"),
         ([10], [np.inf, 1e-3], "delta_list contains non-finite entries"),
     ])

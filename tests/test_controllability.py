@@ -164,7 +164,6 @@ class TestCheckCondition:
         ([(0.0, "a")], DomainError, "explicit_points contains non-numeric entries"),
     ])
     def test_ragged_or_non_numeric_points_are_named(self, points, error, message):
-        # numpy's own error named no argument
         with pytest.raises(error, match=f"^{message}"):
             check_condition(self.explicit_system(), [], "N1", explicit_points=points)
 

@@ -56,7 +56,6 @@ class TestStochasticSystem:
          "A contains non-numeric entries (could not convert string to float: 'a')"),
     ])
     def test_ragged_or_non_numeric_matrix_is_named(self, A, error, message):
-        # numpy's own error named no argument
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             StochasticSystem(A, [[1.0], [0.0]])
 
@@ -195,7 +194,6 @@ class TestLambdaSet:
             lambda_set(s, [])
 
     def test_grid_must_be_a_list_of_numbers(self):
-        # a nested grid raised float()'s bare TypeError
         s = StochasticSystem(-np.eye(2), np.ones((2, 1)))
         with pytest.raises(DimensionError, match=r"^lambda_grid must be 1-D, got shape \(1, 2\)$"):
             lambda_set(s, [[1.0, 2.0]])
