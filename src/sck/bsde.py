@@ -42,7 +42,7 @@ from .sde import (
     _forward_sweep,
     _pair,
 )
-from .systems import StochasticSystem, _expm, as_array
+from .systems import StochasticSystem, _expm, as_array, as_int
 from .systems import yosida as yosida_pair
 
 __all__ = [
@@ -133,8 +133,7 @@ class BsdeSolution:
 
 
 def _regression_steps(cfg: SimConfig, n_times: int) -> np.ndarray:
-    if n_times < 2:
-        raise DomainError("need at least 2 regression times")
+    n_times = as_int(n_times, "n_regression_times", 2)
     steps = np.round(np.linspace(0, cfg.n_steps, n_times)).astype(int)
     # non-decreasing from 0: keep each step above the one before it
     return steps[np.diff(steps, prepend=-1) > 0]
@@ -446,9 +445,7 @@ def approximation_convergence(
     Y_mod - Y = dy_0 + W_t dy_1, and y_1 does not depend on C, so the gap is
     max_k |dy_0(k)|^2 from the coefficient recursions; no noise is drawn.
     """
-    if not all(isinstance(v, (int, np.integer)) for v in n_list):
-        raise DomainError(f"n_list entries must be integers, got {list(n_list)!r}")
-    n_list = [int(v) for v in n_list]
+    n_list = [as_int(v, f"n_list[{i}]", 1) for i, v in enumerate(n_list)]
     delta_list = as_array(delta_list, 1, "delta_list").tolist()
     if not n_list or not delta_list:
         raise DomainError("n_list and delta_list must be non-empty")
@@ -456,8 +453,6 @@ def approximation_convergence(
         raise DomainError("n_list must be strictly increasing")
     if any(b >= a for a, b in zip(delta_list, delta_list[1:])):
         raise DomainError("delta_list must be strictly decreasing")
-    if any(v < 1 for v in n_list):
-        raise DomainError("n_list entries must be >= 1")
     if any(d <= 0 for d in delta_list):
         raise DomainError("delta_list entries must be positive")
     lam = float(as_array(lam, 0, "lam"))

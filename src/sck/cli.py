@@ -141,12 +141,20 @@ def _assemble(cfg: RunConfig) -> dict:
     return _fields(cfg.make_system(), "n", "m", "gamma", *_MATRICES)
 
 
+def _in_section(section: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` for the subcommand reading config ``section``:
+    an input error names its field, so it is re-raised under the section."""
+    try:
+        return fn(*args, **kwargs)
+    except (DomainError, DimensionError) as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
+
+
 def _ellipticity(cfg: RunConfig) -> dict:
     a_fn, c_fn = cfg.coefficient_fns()
     alpha, grid_points = cfg.ellipticity["alpha"], cfg.ellipticity["grid_points"]
-    ok, margin = galerkin.check_ellipticity(
-        a_fn, c_fn, alpha, grid_points, psd_tol=cfg.tolerances.psd_tol,
-    )
+    ok, margin = _in_section("ellipticity", galerkin.check_ellipticity,
+                             a_fn, c_fn, alpha, grid_points, psd_tol=cfg.tolerances.psd_tol)
     return dict(zip(_ELLIPTICITY, (ok, margin, alpha, grid_points)))
 
 
@@ -175,10 +183,7 @@ def _girsanov(cfg: RunConfig) -> dict:
     x0 = cfg.require("x0")
     lam = cfg.require("girsanov.lambda")
     dts = cfg.require("girsanov.dt_list")
-    try:
-        points = sde.girsanov_check(system, lam, x0, cfg.control, sim, dts)
-    except (DomainError, DimensionError) as exc:  # each names dt_list; checked before simulating
-        raise ConfigError(f"girsanov.{exc}") from exc
+    points = _in_section("girsanov", sde.girsanov_check, system, lam, x0, cfg.control, sim, dts)
     return {
         "lambda": lam,
         "points": [dict(zip(_GIRSANOV_POINT, p)) for p in points],
@@ -199,8 +204,8 @@ def _convergence(cfg: RunConfig) -> dict:
     system, sim = _simulation(cfg)
     n_list = cfg.require("convergence.n_list")
     d_list = cfg.require("convergence.delta_list")
-    rep = bsde.approximation_convergence(
-        system, cfg.terminal, sim, n_list, d_list,
+    rep = _in_section(
+        "convergence", bsde.approximation_convergence, system, cfg.terminal, sim, n_list, d_list,
         lam=cfg.convergence["lambda"], n_regression_times=cfg.n_regression_times,
     )
     return {

@@ -17,7 +17,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .controllability import _negligible, _spectrum
 from .exceptions import DimensionError, DomainError, EllipticityError, EvaluationError
-from .systems import StochasticSystem, ToleranceConfig, _one_blas_thread, as_array
+from .systems import StochasticSystem, ToleranceConfig, _one_blas_thread, as_array, as_int
 
 __all__ = [
     "HeatSystemSpec",
@@ -89,11 +89,10 @@ class HeatSystemSpec:
     quad_order: Optional[int] = None
 
     def __post_init__(self):
-        if self.N < 2:
-            raise DomainError(f"N must be >= 2, got {self.N}")
+        as_int(self.N, "N", 2)
         if self.quad_order is None:
             self.quad_order = max(2 * self.N, 16)
-        if self.quad_order < 2 * self.N:
+        if as_int(self.quad_order, "quad_order") < 2 * self.N:
             raise DomainError(
                 f"quad_order must be >= 2N = {2 * self.N}, got {self.quad_order}"
             )
@@ -101,8 +100,7 @@ class HeatSystemSpec:
 
 def composite_gauss(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the composite Gauss rule on (0, 1)."""
-    if n_panels < 1:
-        raise DomainError("n_panels must be positive")
+    n_panels = as_int(n_panels, "n_panels", 1)
     ref_x, ref_w = leggauss(_PANEL_ORDER)
     edges = np.linspace(0.0, 1.0, n_panels + 1)
     h = np.diff(edges)
@@ -134,8 +132,7 @@ def assemble_example2(N: int, b_coeffs) -> StochasticSystem:
     orthogonal projection, carried in the bounded slot C2); B is the single
     control column with sine coefficients ``b_coeffs``.
     """
-    if N < 2:
-        raise DomainError(f"N must be >= 2, got {N}")
+    N = as_int(N, "N", 2)
     b = as_array(b_coeffs, 1, "b_coeffs")
     if b.shape[0] != N:
         raise DimensionError(f"b_coeffs must have length {N}, got {b.shape[0]}")
@@ -205,8 +202,7 @@ def check_ellipticity(
     """
     if not alpha > 0.5:
         raise DomainError(f"alpha must be > 1/2, got {alpha}")
-    if grid_points < 100:
-        raise DomainError(f"grid_points must be >= 100, got {grid_points}")
+    grid_points = as_int(grid_points, "grid_points", 100)
     x = (np.arange(grid_points) + 0.5) / grid_points
     a = _eval_coeff(a_fn, x, "a")
     c = _eval_coeff(c_fn, x, "c")

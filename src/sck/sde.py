@@ -38,7 +38,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .exceptions import DimensionError, DomainError, StabilityError
-from .systems import StochasticSystem, _helper, as_array
+from .systems import StochasticSystem, _helper, as_array, as_int
 
 __all__ = [
     "SimConfig",
@@ -88,15 +88,10 @@ class SimConfig:
             raise DomainError(f"T/dt = {ratio!r} is not an integer")
         if round(ratio) < 1:
             raise DomainError(f"T = {self.T!r} is shorter than one step dt = {self.dt!r}")
-        for name in ("n_paths", "seed", "regression_degree"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n_paths < 2:
-            raise DomainError("n_paths must be >= 2")
-        if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
+        as_int(self.n_paths, "n_paths", 2)
+        if not 0 <= as_int(self.seed, "seed") <= 0xFFFFFFFFFFFFFFFF:
             raise DomainError("seed must fit in an unsigned 64-bit integer")
-        if not (0 <= self.regression_degree <= 6):
-            raise DomainError("regression_degree must lie in [0, 6]")
+        as_int(self.regression_degree, "regression_degree", 0, 6)
 
     @property
     def n_steps(self) -> int:
@@ -123,9 +118,8 @@ def _draw(cfg: SimConfig, k: int, out: np.ndarray):
 
 def brownian_increments(cfg: SimConfig, k0: int = 0, k1: Optional[int] = None) -> np.ndarray:
     """Increment block dW[:, k0:k1] of shape (n_paths, k1 - k0)."""
-    if k1 is None:
-        k1 = cfg.n_steps
-    if not (0 <= k0 <= k1 <= cfg.n_steps):
+    k1 = cfg.n_steps if k1 is None else as_int(k1, "k1")
+    if not (0 <= as_int(k0, "k0") <= k1 <= cfg.n_steps):
         raise DomainError(f"invalid step range [{k0}, {k1})")
     # each step's draw fills one contiguous row; the transpose is the block
     out = np.empty((k1 - k0, cfg.n_paths))
@@ -350,10 +344,9 @@ def simulate_forward(
     """
     sweep = _forward_sweep(sys, x0, control, cfg)
     K = cfg.n_steps
-    steps = range(K + 1) if record_steps is None else map(int, record_steps)
+    steps = range(K + 1) if record_steps is None else (
+        as_int(k, f"record_steps[{i}]", 0, K) for i, k in enumerate(record_steps))
     recorded = sorted({0, K}.union(steps))
-    if recorded[0] < 0 or recorded[-1] > K:
-        raise DomainError("record_steps out of range")
     rec_pos = {k: i for i, k in enumerate(recorded)}
 
     states = np.empty((cfg.n_paths, len(recorded), sys.n))

@@ -15,7 +15,7 @@ import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +52,18 @@ def as_array(x, ndim: int, name: str, square: bool = False) -> np.ndarray:
     if square and x.shape[0] != x.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {x.shape}")
     return x
+
+
+def as_int(x, name: str, low: Optional[int] = None, high: Optional[int] = None) -> int:
+    """``x`` as an int, checked to be a Python or numpy integer (never a
+    bool, nor a float however integral) within ``low <= x <= high``; a bound
+    left None is open.  Every count the kit is given goes through here."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {x!r}")
+    if (low is not None and x < low) or (high is not None and x > high):
+        rule = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        raise DomainError(f"{name} must {rule}, got {x}")
+    return int(x)
 
 
 @functools.cache
@@ -161,9 +173,9 @@ class ToleranceConfig:
     eps_a: float = 1e-6
 
     def __post_init__(self):
-        if self.psd_tol < 0:
+        if as_array(self.psd_tol, 0, "psd_tol") < 0:
             raise DomainError("psd_tol must be >= 0")
-        if self.eps_a <= 0:
+        if as_array(self.eps_a, 0, "eps_a") <= 0:
             raise DomainError("eps_a must be > 0")
 
 
@@ -202,6 +214,7 @@ class StochasticSystem:
         C2 = np.zeros((n, n)) if C2 is None else as_array(C2, 2, "C2", square=True)
         if C1.shape[0] != n or C2.shape[0] != n:
             raise DimensionError("C1 and C2 must be n x n")
+        gamma = float(as_array(gamma, 0, "gamma"))
         if not (0.0 <= gamma < 0.5):
             raise DomainError(f"gamma must lie in [0, 1/2), got {gamma}")
         for M in (A, B, C1, C2):
@@ -210,7 +223,7 @@ class StochasticSystem:
         self.B = B
         self.C1 = C1
         self.C2 = C2
-        self.gamma = float(gamma)
+        self.gamma = gamma
         self.n = n
         self.m = B.shape[1]
 
@@ -243,6 +256,8 @@ class SubspaceBasis:
     def contains(self, v: np.ndarray, tol: float) -> bool:
         """Whether v lies in the subspace up to relative residual tol."""
         v = as_array(v, 1, "vector")
+        if as_array(tol, 0, "tol") < 0:
+            raise DomainError("tol must be >= 0")
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return True
@@ -260,7 +275,7 @@ def is_dissipative(M, tol: float = 0.0) -> bool:
     which is exactly equivalent at finite dimension.
     """
     M = as_array(M, 2, "M", square=True)
-    if tol < 0:
+    if as_array(tol, 0, "tol") < 0:
         raise DomainError("tol must be >= 0")
     sym = 0.5 * (M + M.T)
     return bool(np.linalg.eigvalsh(sym)[-1] <= tol)
@@ -323,8 +338,7 @@ def yosida(A, nres: int) -> tuple[np.ndarray, np.ndarray]:
     An is again dissipative, and An x -> A x as nres grows.
     """
     A = as_array(A, 2, "A", square=True)
-    if nres < 1:
-        raise DomainError("nres must be a positive integer")
+    nres = as_int(nres, "nres", 1)
     n = A.shape[0]
     R = nres * np.eye(n) - A
     try:

@@ -171,9 +171,14 @@ class TestSolveDualBsde:
 
     def test_needs_two_grid_times(self):
         cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=0)
-        with pytest.raises(DomainError, match=r"^need at least 2 regression times$"):
+        with pytest.raises(DomainError, match=r"^n_regression_times must be >= 2, got 1$"):
             solve_dual_bsde(example2(), DeterministicTerminal(np.ones(4)), cfg,
                             n_regression_times=1)
+
+    def test_grid_size_must_be_an_integer(self):
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=0)
+        with pytest.raises(DomainError, match=r"^n_regression_times must be an integer, got 2\.5$"):
+            solve_dual_bsde(example2(), DeterministicTerminal(np.ones(4)), cfg, 2.5)
 
     @pytest.mark.parametrize("system", ["example2", "random"])
     def test_y_exact_is_the_closed_form_bitwise(self, system):
@@ -630,9 +635,9 @@ class TestApproximationConvergence:
             approximation_convergence(s, None, cfg, [], [1e-1])
 
     @pytest.mark.parametrize("n_list, delta_list, message", [
-        ([0, 10], [1e-1], "n_list entries must be >= 1"),
+        ([0, 10], [1e-1], "n_list[0] must be >= 1, got 0"),
         ([10], [1e-1, 0.0], "delta_list entries must be positive"),
-        ([10.5, 20.9], [1e-1], "n_list entries must be integers, got [10.5, 20.9]"),
+        ([10.5, 20.9], [1e-1], "n_list[0] must be an integer, got 10.5"),
         ([10], [np.nan, 1e-3], "delta_list contains non-finite entries"),
         ([10], [np.inf, 1e-3], "delta_list contains non-finite entries"),
     ])
@@ -641,6 +646,18 @@ class TestApproximationConvergence:
         cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=1)
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             approximation_convergence(s, None, cfg, n_list, delta_list)
+
+    @pytest.mark.parametrize("n_list, message", [
+        ([True], "n_list[0] must be an integer, got True"),  # once ran n = 1
+        ([10, np.float64(20.0)], "n_list[1] must be an integer, got np.float64(20.0)"),
+    ])
+    def test_levels_must_be_integers(self, n_list, message):
+        s = StochasticSystem(-np.eye(2), np.ones((2, 1)))
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=10, seed=1)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            approximation_convergence(s, None, cfg, n_list, [1e-1])
+        rep = approximation_convergence(s, None, cfg, [np.int64(10)], [1e-1])
+        assert rep.n_list == [10] and type(rep.n_list[0]) is int
 
     def test_row_of_a_level_not_run(self):
         s = StochasticSystem(-np.eye(2), np.ones((2, 1)), C=0.3 * np.eye(2))

@@ -423,6 +423,19 @@ class TestErrorStatuses:
         ("girsanov", {"control": {"type": "piecewise", "values": [[1.0]] * 20},
                       "girsanov": {"lambda": 1.0, "dt_list": [0.01, 0.005]}},
          "girsanov.dt_list[1]: piecewise control must have shape (40, 1), got (20, 1)"),
+        # a library error of a section's own fields is named under the section
+        ("girsanov", {"girsanov": {"lambda": 1.0, "dt_list": [0.01, 0.02]}},
+         "girsanov.dt_list must be strictly decreasing"),
+        ("convergence", {"convergence": {"n_list": [10, 5], "delta_list": [0.1]}},
+         "convergence.n_list must be strictly increasing"),
+        ("convergence", {"convergence": {"n_list": [0, 10], "delta_list": [0.1]}},
+         "convergence.n_list[0] must be >= 1, got 0"),
+        ("convergence", {"convergence": {"n_list": [10], "delta_list": [0.1, 0.2]}},
+         "convergence.delta_list must be strictly decreasing"),
+        ("ellipticity", {**DIVFORM_ELLIPTICITY, "ellipticity": {"grid_points": 99}},
+         "ellipticity.grid_points must be >= 100, got 99"),
+        ("ellipticity", {**DIVFORM_ELLIPTICITY, "ellipticity": {"alpha": 0.5}},
+         "ellipticity.alpha must be > 1/2, got 0.5"),
     ])
     def test_size_errors_name_the_field(self, tmp_path, capsys, sub, extra, message):
         raw = {**EXAMPLE2, "sim": SMALL_SIM, "x0": [1, 1, 1, 1],

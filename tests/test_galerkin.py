@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -68,8 +70,14 @@ class TestCompositeGauss:
         assert np.sum(weights) == pytest.approx(1.0, abs=1e-14)
 
     def test_needs_a_panel(self):
-        with pytest.raises(DomainError, match=r"^n_panels must be positive$"):
+        with pytest.raises(DomainError, match=r"^n_panels must be >= 1, got 0$"):
             composite_gauss(0)
+
+    def test_panel_count_must_be_an_integer(self):
+        with pytest.raises(DomainError, match=r"^n_panels must be an integer, got 2\.0$"):
+            composite_gauss(2.0)
+        for a, b in zip(composite_gauss(np.int64(3)), composite_gauss(3)):
+            assert np.array_equal(a, b)
 
 
 class TestAssembleExample2:
@@ -98,6 +106,11 @@ class TestAssembleExample2:
     def test_small_dimension_rejected(self):
         with pytest.raises(DomainError):
             assemble_example2(1, [1.0])
+
+    def test_dimension_must_be_an_integer(self):
+        with pytest.raises(DomainError, match=r"^N must be an integer, got 4\.0$"):
+            assemble_example2(4.0, [1.0, 1.0, 1.0, 1.0])
+        assert assemble_example2(np.int64(2), [0.3, 0.4]).n == 2
 
     def test_coefficient_length_checked(self):
         with pytest.raises(Exception):
@@ -235,6 +248,17 @@ class TestAssembleDivform:
             HeatSystemSpec(N=8, a_fn=constant(1.0), c_fn=constant(0.0),
                            b_fn=constant(1.0), quad_order=4)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"N": 4.5}, "N must be an integer, got 4.5"),
+        ({"N": True}, "N must be an integer, got True"),
+        ({"N": 20, "quad_order": 40.5}, "quad_order must be an integer, got 40.5"),
+    ])
+    def test_sizes_must_be_integers(self, fields, message):
+        coefficients = dict(a_fn=constant(1.0), c_fn=constant(0.0), b_fn=constant(1.0))
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            HeatSystemSpec(**fields, **coefficients)
+        assert HeatSystemSpec(N=np.int64(4), **coefficients).quad_order == 16
+
     def test_quad_order_zero_is_not_the_default(self):
         coefficients = dict(a_fn=constant(1.0), c_fn=constant(0.0), b_fn=constant(1.0))
         assert HeatSystemSpec(N=12, **coefficients).quad_order == 24
@@ -263,6 +287,11 @@ class TestCheckEllipticity:
     def test_grid_floor(self):
         with pytest.raises(DomainError):
             check_ellipticity(constant(1.0), constant(0.0), 0.6, 50)
+
+    def test_grid_size_must_be_an_integer(self):
+        # 100.5 once ran 101 points
+        with pytest.raises(DomainError, match=r"^grid_points must be an integer, got 100\.5$"):
+            check_ellipticity(constant(1.0), constant(0.0), 0.6, 100.5)
 
 
 class TestBCoefficientTest:

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -87,6 +88,14 @@ class TestSimConfig:
         fields[field] = np.int64(fields[field] - 0.5)  # numpy integers are integers
         assert getattr(SimConfig(**fields), field) == fields[field]
 
+    @pytest.mark.parametrize("field", ["n_paths", "seed", "regression_degree"])
+    def test_integer_fields_reject_bools(self, field):
+        fields = dict(T=1.0, dt=0.1, n_paths=10, seed=1, regression_degree=1)
+        for flag in (True, np.True_):  # seed=True once ran seed 1
+            fields[field] = flag
+            with pytest.raises(DomainError, match=f"^{field} must be an integer, got {flag!r}$"):
+                SimConfig(**fields)
+
     @pytest.mark.parametrize("dt", [0.0, -0.1])
     def test_step_must_be_positive(self, dt):
         with pytest.raises(DomainError, match=rf"^dt must be positive, got {dt}$"):
@@ -110,6 +119,18 @@ class TestBrownianSource:
         cfg = SimConfig(T=1.0, dt=0.05, n_paths=64, seed=123)
         with pytest.raises(DomainError, match=rf"^invalid step range \[{k0}, {k1}\)$"):
             brownian_increments(cfg, k0, k1)
+
+    @pytest.mark.parametrize("k0, k1, message", [
+        (0.5, 3, "k0 must be an integer, got 0.5"),
+        (0, 3.0, "k1 must be an integer, got 3.0"),
+        (True, 3, "k0 must be an integer, got True"),
+    ])
+    def test_step_bounds_must_be_integers(self, k0, k1, message):
+        cfg = SimConfig(T=1.0, dt=0.05, n_paths=64, seed=123)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            brownian_increments(cfg, k0, k1)
+        assert np.array_equal(brownian_increments(cfg, np.int64(2), np.int64(5)),
+                              brownian_increments(cfg, 2, 5))
 
     def test_increments_are_the_per_step_draws(self):
         # the stored block and the forward ensemble's increments are exactly
@@ -219,8 +240,22 @@ class TestSimulateForward:
     @pytest.mark.parametrize("steps", [[-1], [11]])
     def test_record_steps_out_of_range(self, steps):
         cfg = SimConfig(T=1.0, dt=0.1, n_paths=5, seed=2)
-        with pytest.raises(DomainError, match=r"^record_steps out of range$"):
+        with pytest.raises(DomainError,
+                           match=rf"^record_steps\[0\] must lie in \[0, 10\], got {steps[0]}$"):
             simulate_forward(scalar_system(), [1.0], ZeroControl(), cfg, record_steps=steps)
+
+    @pytest.mark.parametrize("steps, message", [
+        ([2.7], "record_steps[0] must be an integer, got 2.7"),  # once recorded step 2
+        ([3, 5.0], "record_steps[1] must be an integer, got 5.0"),
+        ([np.True_], "record_steps[0] must be an integer, got np.True_"),
+    ])
+    def test_record_steps_must_be_integers(self, steps, message):
+        cfg = SimConfig(T=1.0, dt=0.1, n_paths=5, seed=2)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            simulate_forward(scalar_system(), [1.0], ZeroControl(), cfg, record_steps=steps)
+        part = simulate_forward(scalar_system(), [1.0], ZeroControl(), cfg,
+                                record_steps=np.array([5, 3]))
+        assert np.allclose(part.times, [0.0, 0.3, 0.5, 1.0])
 
     def test_unsupported_control_rejected(self):
         cfg = SimConfig(T=1.0, dt=0.5, n_paths=2, seed=0)

@@ -59,6 +59,11 @@ class TestStochasticSystem:
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             StochasticSystem(A, [[1.0], [0.0]])
 
+    def test_non_numeric_gamma_is_named(self):
+        message = "gamma contains non-numeric entries (could not convert string to float: 'x')"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            StochasticSystem(-np.eye(1), np.ones((1, 1)), gamma="x")
+
     def test_both_c_forms_rejected(self):
         A = np.diag([-1.0])
         with pytest.raises(DomainError):
@@ -94,6 +99,15 @@ class TestSubspaceBasis:
         assert b.contains(np.array([2.0, 0.0]), 1e-9)
         assert not b.contains(np.array([1.0, 1.0]), 1e-9)
 
+    @pytest.mark.parametrize("tol, message", [
+        (np.nan, "tol contains non-finite entries"),  # NaN would answer False
+        (-1e-12, "tol must be >= 0"),
+    ])
+    def test_contains_checks_its_tolerance(self, tol, message):
+        b = SubspaceBasis(np.array([[1.0], [0.0]]))
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            b.contains(np.array([1.0, 1.0]), tol)
+
 
 class TestToleranceConfig:
     def test_defaults(self):
@@ -107,6 +121,13 @@ class TestToleranceConfig:
             ToleranceConfig(eps_a=0.0)
         with pytest.raises(TypeError):
             ToleranceConfig(rank_tol=1e-9)
+
+    @pytest.mark.parametrize("field", ["psd_tol", "eps_a"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_values_rejected(self, field, value):
+        # psd_tol = inf admits every lambda; eps_a = NaN stalls the eigensolver
+        with pytest.raises(DomainError, match=f"^{field} contains non-finite entries$"):
+            ToleranceConfig(**{field: value})
 
 
 class TestIsDissipative:
@@ -126,6 +147,10 @@ class TestIsDissipative:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(DomainError, match=r"^tol must be >= 0$"):
             is_dissipative(-np.eye(2), -1e-12)
+
+    def test_non_finite_tolerance_rejected(self):
+        with pytest.raises(DomainError, match=r"^tol contains non-finite entries$"):
+            is_dissipative(-np.eye(2), np.nan)
 
 
 class TestLambdaSet:
@@ -244,8 +269,42 @@ class TestYosida:
             yosida(np.array([[1.0]]), 1)
 
     def test_level_below_one_rejected(self):
-        with pytest.raises(DomainError, match=r"^nres must be a positive integer$"):
+        with pytest.raises(DomainError, match=r"^nres must be >= 1, got 0$"):
             yosida(-np.eye(2), 0)
+
+    @pytest.mark.parametrize("nres", [2.5, 2.0, True])
+    def test_level_must_be_an_integer(self, nres):
+        with pytest.raises(DomainError, match=f"^nres must be an integer, got {nres!r}$"):
+            yosida(-np.eye(2), nres)
+        A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        for a, b in zip(yosida(A, np.int64(7)), yosida(A, 7)):
+            assert np.array_equal(a, b)
+
+
+class TestAsInt:
+    @pytest.mark.parametrize("x", [5, np.int64(5), np.uint8(5), np.int32(5)])
+    def test_integers_come_back_as_int(self, x):
+        out = systems.as_int(x, "k", 0, 9)
+        assert out == 5 and type(out) is int
+
+    @pytest.mark.parametrize("x", [True, np.True_, 4.0, np.float64(4.0), "4", None, [4]])
+    def test_anything_else_is_rejected(self, x):
+        with pytest.raises(DomainError, match=f"^k must be an integer, got {re.escape(repr(x))}$"):
+            systems.as_int(x, "k")
+
+    @pytest.mark.parametrize("x, low, high, message", [
+        (1, 2, None, "k must be >= 2, got 1"),
+        (7, 0, 6, "k must lie in [0, 6], got 7"),
+        (-1, 0, 6, "k must lie in [0, 6], got -1"),
+        (np.int64(-3), 0, None, "k must be >= 0, got -3"),
+    ])
+    def test_range_is_checked(self, x, low, high, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            systems.as_int(x, "k", low, high)
+
+    def test_bounds_may_be_open(self):
+        assert systems.as_int(-10**30, "k") == -10**30
+        assert systems.as_int(6, "k", 0, 6) == 6 and systems.as_int(0, "k", 0, 6) == 0
 
 
 class TestSemigroupApply:

@@ -109,7 +109,8 @@ MUTANTS = [
            "except (TypeError, ValueError) as exc:", "except ZeroDivisionError as exc:",
            ("tests/test_systems.py::TestStochasticSystem", _CC + "TestCheckCondition")),
     Mutant("n-list-unchecked", "src/sck/bsde.py",
-           "if not all(isinstance(v, (int, np.integer)) for v in n_list):", "if False:",
+           'n_list = [as_int(v, f"n_list[{i}]", 1) for i, v in enumerate(n_list)]',
+           "n_list = [int(v) for v in n_list]",
            ("tests/test_bsde.py::TestApproximationConvergence",)),
     Mutant("delta-list-unchecked", "src/sck/bsde.py",
            'delta_list = as_array(delta_list, 1, "delta_list").tolist()',
@@ -120,6 +121,21 @@ MUTANTS = [
            "pool.shutdown(cancel_futures=True)", "pool.shutdown()",
            ("tests/test_systems.py::TestHelper", "tests/test_sde.py::TestTwoThreadSweep",
             _CC + "TestTwoThreadVerdict")),
+    Mutant("as-int-accepts-bool", "src/sck/systems.py",
+           "if isinstance(x, bool) or not isinstance(x, (int, np.integer)):",
+           "if not isinstance(x, (int, np.integer)):",
+           ("tests/test_systems.py::TestAsInt", "tests/test_sde.py::TestSimConfig")),
+    Mutant("record-steps-truncated", "src/sck/sde.py",
+           'as_int(k, f"record_steps[{i}]", 0, K) for i, k in enumerate(record_steps))',
+           "map(int, record_steps))", ("tests/test_sde.py::TestSimulateForward",)),
+    Mutant("tolerance-finiteness-dropped", "src/sck/systems.py",
+           'if as_array(self.psd_tol, 0, "psd_tol") < 0:', "if self.psd_tol < 0:",
+           ("tests/test_systems.py::TestToleranceConfig",)),
+    # a section's own library errors are named under the section
+    Mutant("convergence-section-dropped", "src/sck/cli.py",
+           'rep = _in_section(\n        "convergence", bsde.approximation_convergence, ',
+           "rep = bsde.approximation_convergence(\n        ",
+           ("tests/test_cli.py::TestErrorStatuses",)),
 ]
 
 
